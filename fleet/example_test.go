@@ -61,7 +61,7 @@ func ExampleFleet_Replicate() {
 
 // Survey a fleet of custom owner temperaments under worst-case interrupts:
 // every station plays its own opportunities against a private slice of the
-// job, so even the live engine is bit-identical at any Workers setting.
+// job, so the survey is bit-identical at any Workers setting.
 func ExampleConfig_owners() {
 	f, err := fleet.New(fleet.Config{
 		Stations: 9,

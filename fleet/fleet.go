@@ -23,34 +23,32 @@
 // # Pools
 //
 // Config.Pool picks how stations share the job. Sharded (the default) is
-// the fleet-scale pool: tasks dealt round-robin across lock-striped queues,
-// dry stations stealing in deterministic order — use it for one shared job
-// on a big fleet. Shared is the single mutex-guarded bag baseline. Private
-// gives every station its own slice of the job and nothing is shared — the
-// fleet-survey semantics: stations play out every opportunity whether or
-// not their tasks drain, and utilization is the figure of merit.
+// the fleet-scale pool: tasks dealt round-robin across Shards station-group
+// queues, dry groups stealing in deterministic order at round barriers —
+// use it for one shared job on a big fleet. Shared is one queue the whole
+// fleet drains. Private gives every station its own slice of the job and
+// nothing is shared or stolen — the fleet-survey semantics: stations play
+// out every opportunity whether or not their tasks drain, and utilization
+// is the figure of merit.
 //
 // # Determinism contract
 //
-// Run is the live engine: station contract streams derive deterministically
-// from (Seed, station ID), but with a Shared/Sharded pool, task assignment
-// depends on goroutine interleaving — aggregate accounting is reproducible,
-// per-station task counts are not. With a Private pool nothing is shared,
-// so the entire Result is a pure function of the Config and Job at any
-// Workers setting. RunDeterministic is the replication engine: the same
-// fleet semantics in synchronized rounds, bit-identical at any Workers.
-// Replicate stacks RunDeterministic (or, for Private pools, Run) inside the
-// Monte-Carlo engine's seed-stream contract: trial i always draws from
-// stream Seed+i, so summaries are bit-identical at any Workers and raising
-// the trial count extends a study without rebasing it.
+// Station contract streams derive from (Seed, station ID), and every queue
+// mutation happens in a fixed order (round, station group, station), so a
+// run's entire Result is a pure function of the Config and Job: Workers
+// changes wall-clock time only. RunDeterministic is the same call under its
+// older name. Replicate stacks runs inside the Monte-Carlo engine's
+// seed-stream contract: trial i always draws from stream Seed+i, so
+// summaries are bit-identical at any Workers and raising the trial count
+// extends a study without rebasing it.
 //
 // # Cancellation and observability
 //
 // Every run takes a context.Context; cancellation stops each station at
 // its next opportunity boundary (Replicate: each worker at its next trial)
 // and the run returns ctx.Err(). Config.Progress observes long runs:
-// periodic snapshots of settled completions driven from the engine's
-// in-flight ledger (Replicate: trials-completed snapshots).
+// snapshots at every round barrier (Replicate: trials-completed
+// snapshots).
 //
 // # Open owner model
 //
@@ -99,16 +97,16 @@ import (
 type Pool int
 
 const (
-	// Sharded is the fleet-scale shared-job pool: lock-striped per-shard
-	// queues with deterministic work stealing. The default.
+	// Sharded is the fleet-scale shared-job pool: one queue per station
+	// group (Config.Shards of them) with deterministic work stealing at
+	// round barriers. The default.
 	Sharded Pool = iota
-	// Shared is the single mutex-guarded bag baseline — simple, and fine
-	// for a dozen stations.
+	// Shared is one queue the whole fleet drains — simple, and fine for a
+	// dozen stations.
 	Shared
-	// Private gives each station its own bag (the job dealt round-robin
-	// across stations) and shares nothing: the fleet-survey semantics, with
-	// every opportunity played out and results bit-identical at any
-	// Workers setting even under the live engine.
+	// Private gives each station its own queue (the job dealt round-robin
+	// across stations) and shares nothing, with no stealing: the
+	// fleet-survey semantics, every opportunity played out.
 	Private
 )
 
@@ -169,9 +167,9 @@ type Config struct {
 	Opportunities int
 	// Pool picks the task-pool layout (see the Pool constants).
 	Pool Pool
-	// Shards is the Sharded pool's stripe count, and the station-group
-	// partition of RunDeterministic: 0 means auto (64, clamped to the
-	// fleet size). Ignored by Shared and Private pools.
+	// Shards is the Sharded pool's station-group (and queue) count: 0
+	// means auto (64, clamped to the fleet size). Ignored by Shared and
+	// Private pools.
 	Shards int
 	// Clusters groups the Sharded pool's shards into a two-tier topology —
 	// a NOW of NOWs. Steals inside a cluster stay free; a station reaches
@@ -188,8 +186,7 @@ type Config struct {
 	// free like local ones; > 0 requires Clusters ≥ 2.
 	StealLatency float64
 	// Workers bounds run parallelism; 0 means GOMAXPROCS. Never affects
-	// RunDeterministic, Replicate, or Private-pool results — only
-	// wall-clock time.
+	// results — only wall-clock time.
 	Workers int
 	// Seed derives every station's deterministic contract stream (and, in
 	// Replicate, the per-trial seed streams).
@@ -228,9 +225,10 @@ type Config struct {
 	// Faults is the run's fault-injection plan: seeded station crashes,
 	// cross-cluster parcel loss, and a scheduler kill round. The zero value
 	// injects nothing and is bit-identical to a Config without the field.
-	// Active plans need the deterministic engines — RunDeterministic on a
-	// Shared or Sharded pool, or the resident Service; the live engine and
-	// Replicate reject them. See FaultPlan for the knobs.
+	// Active plans need round barriers to land on — Run on a Shared or
+	// Sharded pool with a non-empty Job, or the resident Service; fleet
+	// surveys (Private pool, empty Job) and Replicate reject them. See
+	// FaultPlan for the knobs.
 	Faults FaultPlan
 	// StationSummaries, when set, makes Replicate also summarize each
 	// station's offered lifespan across trials in
@@ -239,25 +237,23 @@ type Config struct {
 	// only (a Private-pool survey leaves it empty).
 	StationSummaries bool
 	// Progress, when non-nil, observes runs in flight: Run emits a snapshot
-	// every ProgressInterval of wall clock, RunDeterministic at every round
-	// barrier (a deterministic sequence — except with a Private pool or an
-	// empty Job, where RunDeterministic delegates to the live engine and so
-	// emits wall-clock snapshots), and both a final snapshot when the last
-	// station finishes. Replicate emits wall-clock snapshots of trials
-	// completed instead: Completed counts finished trials, Remaining the
-	// trials still to run, Steals is 0. The callback must be fast and must
-	// not assume a goroutine.
+	// at every round barrier — a deterministic sequence — and a final one
+	// when the last station finishes; a fleet survey (Private pool or empty
+	// Job) has no barriers and emits only the final snapshot. Replicate
+	// emits wall-clock snapshots of trials completed instead: Completed
+	// counts finished trials, Remaining the trials still to run, Steals is
+	// 0. The callback must be fast and must not assume a goroutine.
 	Progress func(Progress)
-	// ProgressInterval spaces Run's snapshots; 0 means 200ms.
+	// ProgressInterval spaces Replicate's wall-clock snapshots; 0 means
+	// 200ms. Runs ignore it.
 	ProgressInterval time.Duration
 	// Record, when non-nil, captures each run's availability trace: every
 	// contract the owners offer and every return they place, published to
 	// the recorder when the run completes (failed or cancelled runs publish
 	// nothing). Replaying the trace (Replay owners, same Config otherwise)
-	// reproduces the run bit-identically for the engines that are
-	// themselves deterministic — RunDeterministic, or Run with a Private
-	// pool or empty Job. A recorder holds one run's trace; give concurrent
-	// runs their own recorders. Replicate rejects a recording fleet.
+	// reproduces the run bit-identically. A recorder holds one run's trace;
+	// give concurrent runs their own recorders. Replicate rejects a
+	// recording fleet.
 	Record *trace.Recorder
 }
 
@@ -551,11 +547,9 @@ func (f *Fleet) farm(stations []station.Workstation) farm.Farm {
 	fm := farm.Farm{
 		Stations:                stations,
 		OpportunitiesPerStation: f.cfg.Opportunities,
-		Workers:                 f.cfg.Workers,
 		Shards:                  f.shards(),
 		DisableEpisodeMemo:      f.cfg.DisableEpisodeMemo,
 		CheckpointAdaptive:      f.cfg.CheckpointAdaptive,
-		ProgressInterval:        f.cfg.ProgressInterval,
 	}
 	if f.cfg.Checkpoint > 0 {
 		fm.Checkpoint = f.g.ticks(f.cfg.Checkpoint)
@@ -602,7 +596,7 @@ func divisorList(n int) string {
 	return b.String()
 }
 
-// shards resolves the pool choice into the engine's stripe count.
+// shards resolves the pool choice into the engine's group count.
 func (f *Fleet) shards() int {
 	if f.cfg.Pool == Shared {
 		return 1

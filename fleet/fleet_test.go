@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -11,7 +13,6 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/quant"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/task"
@@ -149,13 +150,30 @@ func TestRunDeterministicBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrivateRunBitIdentical pins the Private pool's live engine to the
-// equivalent internal/now fleet survey at Workers 1 vs 8.
+// fingerprint hashes a value's full Go-syntax rendering: two results share
+// a fingerprint only if every field of both — every float bit included —
+// renders the same.
+func fingerprint(v any) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", v)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// Golden fleet-survey values, recorded on the engine that ran Private pools
+// before the survey moved onto farm.Core (a live worker pool over private
+// per-station bags), at Workers 1 and 8 alike. They pin the survey path bit
+// for bit across that change.
+const (
+	goldenPrivateRun       = "a9cbfe10b8b57714" // 12 stations, facadeJob, Seed 7
+	goldenEmptyJobRun      = "42ab4d7ccf6a2a7b" // 8 stations, empty Job, Seed 6, every pool
+	goldenPrivateReplicate = "52fc05561a67136d" // goldenPrivateRun's fleet, 40 trials
+)
+
+// TestPrivateRunBitIdentical pins the Private pool's survey to its golden
+// result at Workers 1 and 8.
 func TestPrivateRunBitIdentical(t *testing.T) {
 	cfg := Config{Stations: 12, Setup: 5, Opportunities: 5, Pool: Private, Seed: 7}
 	job := facadeJob()
-
-	var results []Result
 	for _, workers := range []int{1, 8} {
 		c := cfg
 		c.Workers = workers
@@ -167,41 +185,36 @@ func TestPrivateRunBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, res)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatal("Private Run differs between Workers 1 and 8")
-	}
-
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hands := task.Deal(equivalentInternalJob(job).Tasks, 12)
-	nf := now.Fleet{Stations: station.MixedFleet(12, 100), OpportunitiesPerStation: 5}
-	raw, err := nf.Run(context.Background(), f.factory, 7, func(ws now.Workstation) *task.Bag {
-		return task.NewBag(hands[ws.ID])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := results[0].TasksCompleted, raw.Tasks; got != want {
-		t.Fatalf("facade TasksCompleted %d, internal %d", got, want)
-	}
-	if got, want := results[0].Work, float64(raw.Work)/100*5; got != want {
-		t.Fatalf("facade Work %g, internal %g", got, want)
-	}
-	if got, want := results[0].Lifespan, sumLifespan(raw); got != want {
-		t.Fatalf("facade Lifespan %g, internal %g", got, want)
+		if res.TasksCompleted != 600 || res.TasksLeft != 0 || res.Work != 67241.35 || res.Lifespan != 73153.05 {
+			t.Errorf("Workers %d: %d done, %d left, work %v, lifespan %v; want 600, 0, 67241.35, 73153.05",
+				workers, res.TasksCompleted, res.TasksLeft, res.Work, res.Lifespan)
+		}
+		if got := fingerprint(res); got != goldenPrivateRun {
+			t.Errorf("Workers %d: result fingerprint %s, want %s", workers, got, goldenPrivateRun)
+		}
 	}
 }
 
-func sumLifespan(raw now.FleetResult) float64 {
-	var u float64
-	for _, s := range raw.Stations {
-		u += float64(s.LifespanTicks) / 100 * 5
+// TestPrivateReplicateGolden pins a Private-pool replication summary to its
+// golden value at Workers 1 and 8.
+func TestPrivateReplicateGolden(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		f, err := New(Config{Stations: 12, Setup: 5, Opportunities: 5, Pool: Private, Seed: 7, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := f.Replicate(context.Background(), facadeJob(), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Work.Mean != 69510.5425 || rep.Utilization.Mean != 0.9240417776468604 {
+			t.Errorf("Workers %d: work mean %v, utilization mean %v; want 69510.5425, 0.9240417776468604",
+				workers, rep.Work.Mean, rep.Utilization.Mean)
+		}
+		if got := fingerprint(rep); got != goldenPrivateReplicate {
+			t.Errorf("Workers %d: replication fingerprint %s, want %s", workers, got, goldenPrivateReplicate)
+		}
 	}
-	return u
 }
 
 // TestReplicateBitIdentical pins Replicate to itself across worker counts
@@ -406,14 +419,13 @@ func TestProgressDeterministic(t *testing.T) {
 	}
 }
 
-// TestProgressLive asserts the wall-clock observer fires (at least the
-// final snapshot) and agrees with the live result.
+// TestProgressLive asserts Run's observer fires (at least the final
+// snapshot) and agrees with the result.
 func TestProgressLive(t *testing.T) {
 	var snaps []Progress
 	cfg := Config{
 		Stations: 8, Setup: 5, Opportunities: 4, Seed: 2,
-		Progress:         func(p Progress) { snaps = append(snaps, p) },
-		ProgressInterval: time.Millisecond,
+		Progress: func(p Progress) { snaps = append(snaps, p) },
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -457,6 +469,9 @@ func TestEmptyJobIsFluidSurvey(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res, det) {
 				t.Fatalf("%v pool: empty-job Run and RunDeterministic diverge", pool)
+			}
+			if got := fingerprint(res); got != goldenEmptyJobRun {
+				t.Errorf("%v pool, Workers %d: result fingerprint %s, want %s", pool, workers, got, goldenEmptyJobRun)
 			}
 			results = append(results, res)
 		}

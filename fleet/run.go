@@ -5,7 +5,6 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/quant"
-	"cyclesteal/internal/task"
 )
 
 // StationReport describes one station's contribution, in caller time units.
@@ -80,28 +79,26 @@ func (r Result) Imbalance() float64 {
 	return max / (sum / float64(len(r.Stations)))
 }
 
-// Run farms the job across the fleet at full speed — the live engine.
-// Stations simulate concurrently, drawing from the configured pool; with a
-// Shared or Sharded pool the aggregate accounting is reproducible but task
-// assignment to stations depends on scheduling (use RunDeterministic for
-// full reproducibility); with a Private pool the entire Result is
-// bit-identical at any Workers. Cancelling ctx stops every station at its
-// next opportunity boundary and returns ctx.Err().
+// Run farms the job across the fleet. The result is a pure function of
+// (Config, Job): Workers changes wall-clock time only. Shared and Sharded
+// pools play synchronized rounds (stations grouped into Shards queues,
+// stealing only at round barriers) and accept fault plans; a Private pool
+// — and an empty Job on any pool — is a fleet survey, every station working
+// through all its contracts against its own slice of the job. Cancelling
+// ctx stops every station at its next opportunity boundary and returns
+// ctx.Err().
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	fj := f.job(job)
 	stations, recorded, err := f.runStations()
 	if err != nil {
 		return Result{}, err
 	}
+	fm := f.farm(stations)
 	var res farm.Result
-	if f.cfg.Pool == Private || len(fj.Tasks) == 0 {
-		// An empty job is a pure fluid survey whatever the pool setting:
-		// the shared pools are exhaustible (an empty one would end the job
-		// before the first opportunity), so it runs on the inexhaustible
-		// private layout, where stations play out every contract.
-		res, err = f.farm(stations).RunPool(ctx, farm.NewPrivatePools(f.privateBags(fj)), f.factory, f.cfg.Seed)
+	if f.survey(fj) {
+		res, err = fm.Survey(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
 	} else {
-		res, err = f.farm(stations).Run(ctx, fj, f.factory, f.cfg.Seed)
+		res, err = fm.RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
 	}
 	if err != nil {
 		return Result{}, err
@@ -110,40 +107,17 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 	return f.result(res, fj.TotalWork()), nil
 }
 
-// RunDeterministic farms the job with fully reproducible semantics: the
-// result is a pure function of (Config, Job) — Workers changes wall-clock
-// time only. Shared and Sharded pools run the round-synchronized engine
-// (stations grouped into Shards queues, stealing only at round barriers);
-// a Private pool's live Run already meets the contract and is used as is.
+// RunDeterministic is Run, kept under the name callers of the round engine
+// know: Run itself is deterministic at any Workers.
 func (f *Fleet) RunDeterministic(ctx context.Context, job Job) (Result, error) {
-	if f.cfg.Pool == Private || len(job.Tasks) == 0 {
-		return f.Run(ctx, job) // both already bit-identical at any Workers
-	}
-	fj := f.job(job)
-	stations, recorded, err := f.runStations()
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := f.farm(stations).RunDeterministic(ctx, fj, f.factory, f.cfg.Seed, f.cfg.Workers)
-	if err != nil {
-		return Result{}, err
-	}
-	recorded()
-	return f.result(res, fj.TotalWork()), nil
+	return f.Run(ctx, job)
 }
 
-// privateBags deals the job round-robin into one private bag per station.
-func (f *Fleet) privateBags(fj farm.Job) []*task.Bag {
-	if len(fj.Tasks) == 0 {
-		return nil
-	}
-	hands := task.Deal(fj.Tasks, len(f.stations))
-	bags := make([]*task.Bag, len(hands))
-	for i, hand := range hands {
-		bags[i] = task.NewBag(hand)
-	}
-	return bags
-}
+// survey reports whether a run of the quantized job is a fleet survey: a
+// Private pool, or an empty job on any pool (a shared pool with nothing in
+// it would end the job before the first opportunity, so it surveys fluid
+// work instead).
+func (f *Fleet) survey(fj farm.Job) bool { return f.cfg.Pool == Private || len(fj.Tasks) == 0 }
 
 // result converts the engine's tick-grid accounting to caller units.
 // totalWork is the job's total quantized task time — for a batch run the

@@ -378,16 +378,57 @@ func TestServiceFaultValidation(t *testing.T) {
 	if _, err := New(loss); err == nil || !strings.Contains(err.Error(), "parcel loss") {
 		t.Errorf("loss without clusters: %v", err)
 	}
-	// Batch live engine refuses active plans; the deterministic engine
-	// takes them.
+	// Batch runs take active plans, bit-identically through Run and
+	// RunDeterministic at any Workers, on both shared-job pools over a
+	// two-cluster topology; a fleet survey has no barriers to stamp them
+	// onto and refuses them.
+	job := Job{Tasks: FixedTasks(200, 10)}
+	for _, pool := range []Pool{Sharded, Shared} {
+		var want Result
+		for _, workers := range []int{1, 8} {
+			cfg := base
+			cfg.Pool, cfg.Workers = pool, workers
+			cfg.Faults = FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}, {Round: 2, Station: 5}}}
+			if pool == Sharded {
+				cfg.Shards, cfg.Clusters, cfg.StealLatency = 4, 2, 5
+			}
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := f.Run(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := f.RunDeterministic(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(run, det) {
+				t.Fatalf("%v pool, Workers %d: Run and RunDeterministic diverge under a fault plan", pool, workers)
+			}
+			if got := run.Stations[0].Opportunities; got != 1 {
+				t.Fatalf("%v pool: station 0 crashed at the top of round 1 but played %d opportunities", pool, got)
+			}
+			if workers == 1 {
+				want = run
+			} else if !reflect.DeepEqual(run, want) {
+				t.Fatalf("%v pool: faulted Run differs between Workers 1 and 8", pool)
+			}
+		}
+	}
 	crash := base
 	crash.Faults = FaultPlan{Crashes: []StationCrash{{Round: 1, Station: 0}}}
+	crash.Pool = Private
+	if fp, err := New(crash); err != nil {
+		t.Fatal(err)
+	} else if _, err := fp.Run(context.Background(), job); err == nil || !strings.Contains(err.Error(), "survey") {
+		t.Errorf("survey with faults: %v", err)
+	}
+	crash.Pool = Sharded
 	f, err := New(crash)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := f.Run(context.Background(), Job{Tasks: FixedTasks(10, 5)}); err == nil || !strings.Contains(err.Error(), "live engine") {
-		t.Errorf("live run with faults: %v", err)
 	}
 	if _, err := f.Replicate(context.Background(), Job{Tasks: FixedTasks(10, 5)}, 2); err == nil || !strings.Contains(err.Error(), "fault plans") {
 		t.Errorf("replicate with faults: %v", err)

@@ -7,10 +7,8 @@ import (
 
 	"cyclesteal/internal/farm"
 	"cyclesteal/internal/mc"
-	"cyclesteal/internal/now"
 	"cyclesteal/internal/station"
 	"cyclesteal/internal/stats"
-	"cyclesteal/internal/task"
 )
 
 // StudyShards is the fixed shard count every replication study is cut into.
@@ -138,13 +136,10 @@ type Study struct {
 	interval time.Duration
 	factory  station.SchedulerFactory
 
-	survey   bool // private-pool fleet survey vs shared-job farm path
+	survey   bool // fleet-survey trials (farm.Survey) vs shared-job trials
 	fm       farm.Farm
 	fj       farm.Job
 	statCols bool
-
-	nf       now.Fleet
-	tasksPer func(ws now.Workstation) *task.Bag
 }
 
 // Study validates the job against the fleet and cuts a trials-sized
@@ -169,31 +164,13 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		cfg:      mc.Config{Trials: trials, Seed: f.cfg.Seed, Workers: f.cfg.Workers},
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
+		fm:       f.farm(f.stations),
+		fj:       f.job(job),
 	}
-	fj := f.job(job)
-	if f.cfg.Pool == Private || len(fj.Tasks) == 0 {
-		// Empty jobs replicate as pure fluid surveys (see Run): the shared
-		// pools would end each trial before its first opportunity.
-		s.survey = true
-		s.nf = now.Fleet{
-			Stations:                f.stations,
-			OpportunitiesPerStation: f.cfg.Opportunities,
-			DisableEpisodeMemo:      f.cfg.DisableEpisodeMemo,
-		}
-		if len(fj.Tasks) > 0 {
-			// Each trial drains fresh bags; the deal itself is a pure
-			// function of (job, fleet), and ws.ID indexes it because New
-			// numbers stations 0..n−1.
-			hands := task.Deal(fj.Tasks, len(f.stations))
-			s.tasksPer = func(ws now.Workstation) *task.Bag {
-				return task.NewBag(hands[ws.ID])
-			}
-		}
-		return s, nil
-	}
-	s.fm = f.farm(f.stations)
-	s.fj = fj
-	s.statCols = f.cfg.StationSummaries
+	// Trials run exactly what Run would: a survey for a Private pool or an
+	// empty job, the shared-job round engine otherwise.
+	s.survey = f.survey(s.fj)
+	s.statCols = f.cfg.StationSummaries && !s.survey
 	return s, nil
 }
 
@@ -211,7 +188,7 @@ func (s *Study) ShardTrials(shard int) int { return mc.ShardTrials(s.trials, sha
 // built from the same Config.
 func (s *Study) MetricColumns() int {
 	if s.survey {
-		return now.NumFleetMetrics
+		return farm.NumSurveyMetrics
 	}
 	return s.fm.ReplicateColumns(s.statCols)
 }
@@ -243,7 +220,7 @@ func (s *Study) RunShards(ctx context.Context, shardIDs []int, progress func(don
 	var shards []mc.ShardAccums
 	var err error
 	if s.survey {
-		shards, err = s.nf.ReplicateShards(ctx, s.factory, cfg, s.tasksPer, shardIDs)
+		shards, err = s.fm.SurveyShards(ctx, s.fj, s.factory, cfg, shardIDs)
 	} else {
 		shards, err = s.fm.ReplicateShards(ctx, s.fj, s.factory, cfg, s.statCols, shardIDs)
 	}
@@ -306,13 +283,13 @@ func (s *Study) assemble(sums []stats.Summary) Replication {
 	if s.survey {
 		return Replication{
 			Trials:         s.trials,
-			TasksCompleted: summary(sums[now.FleetMetricTasks], 1),
-			TaskWork:       summary(sums[now.FleetMetricTaskWork], k),
-			Work:           summary(sums[now.FleetMetricWork], k),
-			Lifespan:       summary(sums[now.FleetMetricLifespan], k),
-			Utilization:    summary(sums[now.FleetMetricUtilization], 1),
-			Killed:         summary(sums[now.FleetMetricKilledTicks], k),
-			Interrupts:     summary(sums[now.FleetMetricInterrupts], 1),
+			TasksCompleted: summary(sums[farm.SurveyMetricTasks], 1),
+			TaskWork:       summary(sums[farm.SurveyMetricTaskWork], k),
+			Work:           summary(sums[farm.SurveyMetricWork], k),
+			Lifespan:       summary(sums[farm.SurveyMetricLifespan], k),
+			Utilization:    summary(sums[farm.SurveyMetricUtilization], 1),
+			Killed:         summary(sums[farm.SurveyMetricKilledTicks], k),
+			Interrupts:     summary(sums[farm.SurveyMetricInterrupts], 1),
 		}
 	}
 	rep := Replication{

@@ -44,7 +44,8 @@ func (f Farm) newRunner(ws station.Workstation, seed int64) runner {
 // standing set of station runners partitioned into group queues, advanced
 // one round at a time, with joins, leaves and task arrivals applied only at
 // round barriers. RunDeterministic is a thin batch driver over it (join the
-// fleet, add the job, play bounded rounds); the fleet package's resident
+// fleet, add the job, play bounded rounds), Survey another (one group per
+// station, the whole horizon in one hand-off); the fleet package's resident
 // service is the long-lived driver (jobs stream in, stations churn, rounds
 // play for as long as there is work).
 //
@@ -201,7 +202,11 @@ func (c *Core) teardown(slot int, keepWork bool) bool {
 	if slot < 0 || slot >= len(c.runners) || c.runners[slot].left {
 		return false
 	}
+	// A departed runner never plays again: release its episode memo and
+	// simulator buffers, which would otherwise live as long as the Core (a
+	// resident service's churned-out stations would pin them all session).
 	c.runners[slot].left = true
+	c.runners[slot].scr = stationScratch{}
 	g := slot % c.groups
 	c.liveIn[g]--
 	c.live--
@@ -392,6 +397,23 @@ func (c *Core) Result() Result {
 // (queues keep their played state) and the error is returned; runner errors
 // join in slot order.
 func (c *Core) PlayRound(ctx context.Context, workers int) error {
+	if err := c.PlayHorizon(ctx, 1, workers); err != nil {
+		return err
+	}
+	c.barrier()
+	return nil
+}
+
+// PlayHorizon plays rounds opportunities per live station with no barrier
+// in between. Groups run concurrently on the worker pool (workers ≤ 0 means
+// GOMAXPROCS), each working through its whole horizon in one hand-off —
+// round by round, its stations in slot order — so nothing rebalances, the
+// steal clock never moves and no faults apply: the survey layout's
+// evolution (one station per group, no stealing). PlayRound is one such
+// round plus the barrier. On cancellation PlayHorizon returns ctx.Err();
+// otherwise every runner error, joined in slot order (an erred station
+// stops while the rest play on).
+func (c *Core) PlayHorizon(ctx context.Context, rounds, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -406,16 +428,7 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 		go func() {
 			defer wg.Done()
 			for g := range gjobs {
-				for slot := g; slot < n; slot += c.groups {
-					if ctx.Err() != nil {
-						break // cancelled; the post-round check reports it
-					}
-					r := &c.runners[slot]
-					if r.left || r.err != nil {
-						continue
-					}
-					r.err = c.opts.playOpportunity(&r.rep, r.ws, r.rng, c.factory, c.sources[g], &r.scr)
-				}
+				c.playGroup(ctx, g, n, rounds)
 			}
 		}()
 	}
@@ -433,11 +446,25 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 	for _, r := range c.runners {
 		c.errbuf = append(c.errbuf, r.err)
 	}
-	if err := errors.Join(c.errbuf...); err != nil {
-		return err
+	return errors.Join(c.errbuf...)
+}
+
+// playGroup plays group g's stations (slots g, g+groups, … below n) for
+// rounds rounds against the group's own source, round by round in slot
+// order. Departed and erred runners sit out (errors are sticky).
+func (c *Core) playGroup(ctx context.Context, g, n, rounds int) {
+	for round := 0; round < rounds; round++ {
+		for slot := g; slot < n; slot += c.groups {
+			if ctx.Err() != nil {
+				return // cancelled; the caller reports it
+			}
+			r := &c.runners[slot]
+			if r.left || r.err != nil {
+				continue
+			}
+			r.err = c.opts.playOpportunity(&r.rep, r.ws, r.rng, c.factory, c.sources[g], &r.scr)
+		}
 	}
-	c.barrier()
-	return nil
 }
 
 // barrier runs the deterministic end-of-round phase: advance the steal

@@ -1,71 +1,49 @@
 // Package farm implements the setting of the paper's title: *data-parallel*
 // cycle-stealing in a *network* of workstations. One job — a bag of
 // indivisible tasks — is farmed out across every opportunity the fleet's
-// owners offer, concurrently: stations draw work from the job's task pool as
-// their periods open, and killed periods return their in-flight tasks for
+// owners offer: stations draw work from the job's task queues as their
+// periods open, and killed periods return their in-flight tasks for
 // rescheduling elsewhere.
 //
-// This is the layer a downstream user runs, and the only station-driving loop
-// in the repo: internal/station models who offers time and when they
+// This is the layer a downstream user runs, and the only station-driving
+// loop in the repo: internal/station models who offers time and when they
 // interrupt; internal/sched decides period sizing on each opportunity; this
 // package binds them to a workload and reports job-level outcomes
 // (completion fraction, work distribution across stations, lost-to-kills
-// accounting). internal/now's Fleet is a thin adapter over RunPool with
-// private per-station bags.
+// accounting).
 //
-// # Task pools and the sharded bag
+// # One engine
 //
-// Three pool implementations back a farmed run. SharedBag is the original
-// single mutex-guarded bag: simple, and fine for a dozen stations. ShardedBag
-// is the fleet-scale pool: tasks are dealt round-robin across lock-striped
-// per-shard queues, each station drains its home shard, and a dry station
-// steals — first from its hinted targets (last victim, richest shard), then
-// from the other shards in deterministic cyclic order — the work-stealing
-// idiom of Gast–Khatiri–Trystram, with killed-period tasks returned to the
-// thief's own queue. PrivatePools is the degenerate pool now.Fleet runs on:
-// one private bag per station, nothing shared. Farm.Shards selects between
-// the first two (0 = auto-sharded); BenchmarkFarmBag* quantifies the gap on
-// the contended path and BenchmarkFarmSteal* the hinted vs linear steal scan.
-//
-// # Early exit without starvation
-//
-// A station stops borrowing when the job is done — but "done" must account
-// for in-flight tasks: a station that quit the moment Remaining() read zero
-// could strand tasks another station's killed period Returns a tick later.
-// Run therefore tracks an unfinished counter (total tasks minus tasks whose
-// completion is settled at the end of the completing station's opportunity)
-// and stations only stop early when it reaches zero — i.e. when every task
-// has actually completed, never merely been taken.
+// Core is the engine: a standing set of station runners partitioned into
+// group queues (plain task.Bag deques), advanced in synchronized rounds.
+// Within a round each group plays its stations sequentially against its own
+// queue; at the round barrier dry groups steal half a victim's queue in
+// deterministic cyclic group order — the work-stealing idiom of
+// Gast–Khatiri–Trystram, modelled as a discrete, event-ordered process.
+// Farm.Shards fixes the group count (0 = auto, 1 = one shared queue).
+// RunDeterministic plays one shared job in bounded rounds; Survey plays the
+// fleet survey, one private queue per station and no stealing, every
+// contract played; the fleet package's resident service keeps a Core alive
+// across jobs.
 //
 // # Determinism contract
 //
-// Run is the live engine: stations free-run on a bounded pool, so aggregate
-// accounting invariants are deterministic but task *assignment* depends on
-// scheduling interleaving. RunDeterministic is the replication engine: the
-// same fleet semantics executed in synchronized rounds — within a round each
-// queue is touched by exactly one sequential station group, and queues
-// rebalance by stealing only at round barriers, in station-group order. Every
-// station draws contracts from its own rng stream derived from (seed,
-// station ID) via station.RNG, so the entire result is a pure function of
-// (fleet, job, factory, seed, Shards): any inner worker count produces
-// bit-identical results. Replicate stacks that inside internal/mc's
-// seed-stream contract — trial-level parallelism outside, station-group
-// parallelism inside, split by mc.SplitWorkers — so fleet summaries stay
-// bit-identical at any -workers setting while fleets scale to thousands of
-// stations.
+// Every station draws contracts from its own rng stream derived from (seed,
+// station ID) via station.RNG, and every queue mutation is ordered by
+// (round, group, station slot), so a run is a pure function of (fleet, job,
+// factory, seed, Shards): any worker count produces bit-identical results.
+// Replicate stacks that inside internal/mc's seed-stream contract —
+// trial-level parallelism outside, station-group parallelism inside, split
+// by mc.SplitWorkers — so fleet summaries stay bit-identical at any
+// -workers setting while fleets scale to thousands of stations.
 package farm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/mc"
@@ -77,81 +55,11 @@ import (
 	"cyclesteal/internal/task"
 )
 
-// TaskPool is the job-wide task state one farmed run drains: per-station
-// task-source views over a shared underlying bag, plus the global accounting
-// the farm driver polls.
-type TaskPool interface {
-	// Station returns station i's view; its Take/Return feed the simulator.
-	Station(i int) sim.TaskSource
-	// Remaining reports the tasks still unscheduled.
-	Remaining() int
-	// RemainingWork reports the total duration still unscheduled.
-	RemainingWork() quant.Tick
-	// Steals reports cross-queue task movements (0 for an unsharded pool).
-	Steals() int
-	// Exhaustible reports whether draining the pool ends the job: when true,
-	// stations stop borrowing once every task has completed; when false
-	// (fluid-mode pools like PrivatePools) stations play out every
-	// opportunity regardless.
-	Exhaustible() bool
-}
-
-// SharedBag is a mutex-guarded task source that many concurrently simulated
-// stations can drain — the single-stripe baseline pool. It satisfies both
-// sim.TaskSource and TaskPool.
-type SharedBag struct {
-	mu  sync.Mutex
-	bag *task.Bag
-}
-
-// NewSharedBag wraps a task set in a shared source.
-func NewSharedBag(tasks []task.Task) *SharedBag {
-	return &SharedBag{bag: task.NewBag(tasks)}
-}
-
-// Take implements sim.TaskSource.
-func (s *SharedBag) Take(capacity quant.Tick) []task.Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.Take(capacity)
-}
-
-// TakeInto implements sim.TaskSource.
-func (s *SharedBag) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.TakeInto(dst, capacity)
-}
-
-// Return implements sim.TaskSource.
-func (s *SharedBag) Return(tasks []task.Task) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bag.Return(tasks)
-}
-
-// Station implements TaskPool: every station shares the one bag.
-func (s *SharedBag) Station(int) sim.TaskSource { return s }
-
-// Steals implements TaskPool: an unsharded pool never steals.
-func (s *SharedBag) Steals() int { return 0 }
-
-// Exhaustible implements TaskPool: the bag is the job.
-func (s *SharedBag) Exhaustible() bool { return true }
-
-// Remaining reports the tasks still unscheduled.
-func (s *SharedBag) Remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.Remaining()
-}
-
-// RemainingWork reports the total duration still unscheduled.
-func (s *SharedBag) RemainingWork() quant.Tick {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bag.RemainingWork()
-}
+// DefaultShards is the group count Farm uses when Shards is 0 (clamped to
+// the fleet size). 64 matches internal/mc.Shards: plenty of parallelism for
+// any machine the simulations run on, while keeping the barrier's steal scan
+// and the per-queue memory trivial even at fleet sizes in the thousands.
+const DefaultShards = 64
 
 // Job is one data-parallel computation to farm across the fleet.
 type Job struct {
@@ -182,9 +90,9 @@ type Result struct {
 	TasksLeft      int
 	FluidWork      quant.Tick
 	Interrupts     int
-	// Steals counts cross-queue task movements: non-home Takes under Run on
-	// a sharded pool, round-barrier migrations under RunDeterministic.
-	// Cross-cluster departures count when they depart.
+	// Steals counts cross-queue task movements: round-barrier migrations
+	// and orphaned queues drained back to the fleet. Cross-cluster
+	// departures count when they depart.
 	Steals int
 	// InFlight counts tasks still crossing between clusters when the run
 	// ended (a Topology with CrossLatency > 0 only). They never completed,
@@ -232,22 +140,20 @@ type Farm struct {
 	// OpportunitiesPerStation is how many owner contracts each station works
 	// through (the job may finish earlier; stations then idle).
 	OpportunitiesPerStation int
-	// Workers bounds Run's worker pool; 0 means GOMAXPROCS.
-	Workers int
-	// Shards picks the task-pool layout: 0 = auto (min(DefaultShards,
-	// len(Stations)) lock-striped queues), 1 = the single mutex-guarded
-	// SharedBag baseline, n = exactly n stripes (clamped to the fleet size).
-	// Under RunDeterministic the same number also fixes the station-group
-	// partition, so it is part of that engine's determinism key.
+	// Shards is RunDeterministic's group count: 0 = auto (min(DefaultShards,
+	// len(Stations)) queues), 1 = one queue the whole fleet shares, n =
+	// exactly n groups (clamped to the fleet size). Station i plays in group
+	// i mod groups, so the number is part of the determinism key. Survey
+	// ignores it (one group per station).
 	Shards int
 	// Topology groups the shards into clusters and prices cross-cluster
 	// steals (see Topology). The zero value is the flat fleet, bit-identical
 	// to a Farm without the field. Must satisfy
-	// Topology.Validate(ResolveShards(Shards, len(Stations))); under
-	// RunDeterministic it joins Shards in the determinism key.
+	// Topology.Validate(ResolveShards(Shards, len(Stations))); it joins
+	// Shards in the determinism key. Survey ignores it (nothing is stolen).
 	Topology Topology
 	// DisableEpisodeMemo turns off the per-station episode cache (sched.Memo)
-	// both engines layer over the scheduler factory. Episodes are pure
+	// the engine layers over the scheduler factory. Episodes are pure
 	// functions of (p, L) for the keyed schedulers, so results are
 	// bit-identical either way — the switch exists for benchmarking and for
 	// the tests that pin that equivalence.
@@ -282,38 +188,26 @@ type Farm struct {
 	// a graceful Leave drains it back), and cross-cluster parcel loss with
 	// round-priced timeout, capped exponential retry backoff, and
 	// degradation to intra-cluster scanning when the retry budget is spent.
-	// Only the deterministic engine takes faults — Run (the live engine) has
-	// no deterministic points to stamp them onto and rejects active plans —
-	// and a batch run rejects a KillRound (there is no log to recover a
-	// batch run from; that axis belongs to the resident service). The zero
-	// value injects nothing, bit-identical to a Farm without the field.
+	// Only RunDeterministic takes faults — a Survey has no round barriers to
+	// stamp them onto and rejects active plans — and a batch run rejects a
+	// KillRound (there is no log to recover a batch run from; that axis
+	// belongs to the resident service). The zero value injects nothing,
+	// bit-identical to a Farm without the field.
 	Faults fault.Plan
-	// Progress, when non-nil, observes a run as it happens: Run emits a
-	// snapshot every ProgressInterval of wall-clock time (driven from the
-	// unfinished ledger, so Completed counts settled completions only) and
-	// RunDeterministic emits one at every round barrier (where the counts
-	// are exact and the callback sequence is itself deterministic). Both
-	// engines emit a final snapshot after the last station finishes —
-	// including when the run is cancelled or fails, so a shutdown still
-	// observes how far the job got. The callback must not block for long —
-	// Run invokes it from the observer goroutine, RunDeterministic from the
-	// round loop — and observing never affects results.
+	// Progress, when non-nil, observes a run: RunDeterministic emits a
+	// snapshot at every round barrier (where the counts are exact and the
+	// callback sequence is itself deterministic), Survey only the final one.
+	// Both emit a final snapshot after the last station finishes — including
+	// when the run is cancelled or fails, so a shutdown still observes how
+	// far the job got. The callback runs on the driving goroutine and must
+	// not block for long; observing never affects results.
 	Progress func(Progress)
-	// ProgressInterval is the wall-clock spacing of Run's progress
-	// snapshots; ≤ 0 means DefaultProgressInterval. RunDeterministic
-	// ignores it (round barriers set the cadence there).
-	ProgressInterval time.Duration
 }
-
-// DefaultProgressInterval spaces Run's progress snapshots when the caller
-// sets a Progress observer without an interval.
-const DefaultProgressInterval = 200 * time.Millisecond
 
 // Progress is one observation of a farmed job in flight.
 type Progress struct {
 	// Completed counts tasks whose completion has settled (the completing
-	// station's opportunity ended — the same notion the early-exit ledger
-	// uses, so Completed never counts a take a kill could still undo).
+	// station's opportunity ended, so no kill can undo it).
 	Completed int
 	// Remaining counts tasks not yet completed: unscheduled tasks plus
 	// in-flight takes. Completed + Remaining + Lost is the job's task count.
@@ -338,176 +232,6 @@ func (f Farm) scaledLatency() int64 {
 	return int64(f.Topology.CrossLatency) * int64(len(f.Stations))
 }
 
-// newPool builds the task pool Run drains.
-func (f Farm) newPool(job Job) TaskPool {
-	n := f.shardCount()
-	if n <= 1 {
-		return NewSharedBag(job.Tasks)
-	}
-	if f.Topology.active() {
-		return NewShardedBagTopology(job.Tasks, n, f.Topology.clusterCount(), f.scaledLatency())
-	}
-	return NewShardedBag(job.Tasks, n)
-}
-
-// flightPool is the optional TaskPool extension a latency-priced topology
-// pool implements: the farm driver advances the steal clock as stations
-// settle opportunities, and reports the tasks still in flight at the end.
-type flightPool interface {
-	Advance(d quant.Tick)
-	InFlight() int
-}
-
-// Run farms the job across the fleet at full speed. Stations simulate their
-// opportunities concurrently, drawing from the job's task pool (sharded per
-// f.Shards); scheduling policy is supplied per (station, contract).
-// Determinism: each station derives its rng from seed and its ID, so
-// contract sequences are reproducible; task *assignment* to stations depends
-// on scheduling interleaving and is intentionally not deterministic across
-// runs (the aggregate accounting invariants are, and tests check those;
-// RunDeterministic trades peak throughput for full reproducibility). When
-// several stations fail, the returned error joins every station's failure,
-// in station order. Cancelling ctx stops every station at its next
-// opportunity boundary and returns ctx.Err().
-func (f Farm) Run(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64) (Result, error) {
-	if len(f.Stations) == 0 {
-		return Result{}, fmt.Errorf("farm: empty fleet")
-	}
-	if err := f.Topology.Validate(f.shardCount()); err != nil {
-		return Result{}, err
-	}
-	return f.RunPool(ctx, f.newPool(job), factory, seed)
-}
-
-// RunPool is Run against a caller-supplied task pool — the entry point
-// now.Fleet rides with PrivatePools, and the seam for custom pool layouts.
-// The pool must be fresh: its remaining tasks are the job.
-func (f Farm) RunPool(ctx context.Context, pool TaskPool, factory station.SchedulerFactory, seed int64) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(f.Stations) == 0 {
-		return Result{}, fmt.Errorf("farm: empty fleet")
-	}
-	if f.Faults.Active() {
-		return Result{}, fmt.Errorf("farm: the live engine cannot inject faults (no deterministic points to stamp them onto); use RunDeterministic")
-	}
-	n := f.OpportunitiesPerStation
-	if n < 1 {
-		n = 1
-	}
-	workers := f.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(f.Stations) {
-		workers = len(f.Stations)
-	}
-
-	// The early-exit ledger: total tasks minus settled completions. Taking a
-	// task does not move it (the take may yet be killed and Returned); only a
-	// completed opportunity settles its stations' takes, so the counter hits
-	// zero exactly when every task has completed — stations can then stop
-	// borrowing with nothing left in flight to strand.
-	total := pool.Remaining()
-	var unfinished atomic.Int64
-	unfinished.Store(int64(total))
-	var exit *atomic.Int64
-	if pool.Exhaustible() {
-		exit = &unfinished
-	}
-
-	stopObserver := f.observe(total, &unfinished, pool)
-
-	// A latency-priced topology pool needs the steal clock driven: each
-	// settled opportunity advances it by the contract lifespan just played,
-	// landing matured cross-cluster parcels.
-	var advance func(quant.Tick)
-	fp, hasFlight := pool.(flightPool)
-	if hasFlight {
-		advance = fp.Advance
-	}
-
-	reports := make([]StationReport, len(f.Stations))
-	errs := make([]error, len(f.Stations))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				src := &settleSource{src: pool.Station(idx), unfinished: &unfinished}
-				rep, err := f.runStation(ctx, f.Stations[idx], n, factory, seed, src, exit, advance)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				reports[idx] = rep
-			}
-		}()
-	}
-	for idx := range f.Stations {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	stopObserver()
-	// Cancellation trumps station errors: once the context fires, which
-	// stations report it (and whether any got far enough to fail some other
-	// way) depends on scheduling, so the only deterministic error is the
-	// cancellation itself.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := errors.Join(errs...); err != nil {
-		return Result{}, err
-	}
-	inflight := 0
-	if hasFlight {
-		inflight = fp.InFlight()
-	}
-	return f.assemble(reports, pool.Remaining(), pool.Steals(), inflight, 0), nil
-}
-
-// observe starts Run's wall-clock progress observer, if configured, and
-// returns the function that stops it and emits the final snapshot. The
-// observer reads only the unfinished ledger and the pool's own counters, so
-// it can never perturb results.
-func (f Farm) observe(total int, unfinished *atomic.Int64, pool TaskPool) (stop func()) {
-	if f.Progress == nil {
-		return func() {}
-	}
-	snapshot := func() Progress {
-		left := int(unfinished.Load())
-		return Progress{Completed: total - left, Remaining: left, Steals: pool.Steals()}
-	}
-	interval := f.ProgressInterval
-	if interval <= 0 {
-		interval = DefaultProgressInterval
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				f.Progress(snapshot())
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished // the observer has quit; no callback races the final one
-		f.Progress(snapshot())
-	}
-}
-
 // assemble folds station reports into the job-level result.
 func (f Farm) assemble(reports []StationReport, left, steals, inflight, lost int) Result {
 	res := Result{Stations: reports, TasksLeft: left, Steals: steals, InFlight: inflight, TasksLost: lost}
@@ -520,84 +244,19 @@ func (f Farm) assemble(reports []StationReport, left, steals, inflight, lost int
 	return res
 }
 
-// settleSource wraps a station's task source with the in-flight accounting
-// the early-exit ledger needs. Tasks taken but not Returned are outstanding;
-// settle, called when an opportunity ends, marks them completed (anything a
-// kill was going to Return has been Returned by then — sim.Run returns a
-// killed period's tasks before the opportunity finishes). One goroutine owns
-// each settleSource, so outstanding needs no synchronization.
-type settleSource struct {
-	src         sim.TaskSource
-	unfinished  *atomic.Int64
-	outstanding int64
-}
-
-// Take implements sim.TaskSource.
-func (s *settleSource) Take(capacity quant.Tick) []task.Task {
-	got := s.src.Take(capacity)
-	s.outstanding += int64(len(got))
-	return got
-}
-
-// TakeInto implements sim.TaskSource.
-func (s *settleSource) TakeInto(dst []task.Task, capacity quant.Tick) []task.Task {
-	base := len(dst)
-	dst = s.src.TakeInto(dst, capacity)
-	s.outstanding += int64(len(dst) - base)
-	return dst
-}
-
-// Return implements sim.TaskSource.
-func (s *settleSource) Return(tasks []task.Task) {
-	s.src.Return(tasks)
-	s.outstanding -= int64(len(tasks))
-}
-
-// settle counts the opportunity's surviving takes as completed.
-func (s *settleSource) settle() {
-	if s.outstanding != 0 {
-		s.unfinished.Add(-s.outstanding)
-		s.outstanding = 0
-	}
-}
-
-// stationScratch is the per-station reusable state both engines thread
+// stationScratch is the per-station reusable state the engine threads
 // through playOpportunity: the simulator's episode/task buffers and the
-// episode memo the scheduler factory's output is bound to. One station
-// goroutine owns a scratch at a time (in RunDeterministic, round barriers
+// episode memo the scheduler factory's output is bound to. One goroutine
+// owns a scratch at a time (round barriers, or a survey's single hand-off,
 // order the handoffs between workers).
 type stationScratch struct {
 	bufs sim.Buffers
 	memo *sched.Memo // nil when DisableEpisodeMemo
 }
 
-func (f Farm) runStation(ctx context.Context, ws station.Workstation, n int, factory station.SchedulerFactory, seed int64, src *settleSource, unfinished *atomic.Int64, advance func(quant.Tick)) (StationReport, error) {
-	r := f.newRunner(ws, seed)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return r.rep, err // cancelled between opportunities
-		}
-		if unfinished != nil && unfinished.Load() == 0 {
-			break // every task completed; no point borrowing more time
-		}
-		before := r.rep.LifespanTicks
-		err := f.playOpportunity(&r.rep, ws, r.rng, factory, src, &r.scr)
-		src.settle()
-		if advance != nil {
-			// The opportunity is settled: its lifespan is played fleet time,
-			// so the steal clock moves and matured parcels may land.
-			advance(r.rep.LifespanTicks - before)
-		}
-		if err != nil {
-			return r.rep, err
-		}
-	}
-	return r.rep, nil
-}
-
 // playOpportunity samples one owner contract and simulates it against the
-// station's task source — the shared inner step of Run and RunDeterministic.
-func (f Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, scr *stationScratch) error {
+// station's task source — the inner step of every way a Core is played.
+func (f *Farm) playOpportunity(rep *StationReport, ws station.Workstation, rng *rand.Rand, factory station.SchedulerFactory, src sim.TaskSource, scr *stationScratch) error {
 	contract := ws.Owner.Sample(rng)
 	if contract.U < 1 {
 		return nil
@@ -676,10 +335,9 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // CrossLatency > 0 steal departs into a flight ledger and lands at the first
 // barrier whose steal clock (Σ lifespans played) has reached its maturity.
 // Stations stop borrowing when a barrier finds the whole job done (in-flight
-// tasks count as not done). Killed-period tasks return to the front of the
-// running group's own queue, as in the live sharded bag. (Round barriers are
-// also why this engine needs no early-exit ledger: nothing is
-// mid-opportunity when the done-check runs.)
+// tasks count as not done; nothing is mid-opportunity when the done-check
+// runs). Killed-period tasks return to the front of the running group's own
+// queue, where they stay next in line.
 //
 // Every mutation is therefore ordered by (round, group, station index) — a
 // pure function of (fleet, job, factory, seed, Shards). workers ≤ 0 means
@@ -696,10 +354,7 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 	if n == 0 {
 		return Result{}, fmt.Errorf("farm: empty fleet")
 	}
-	rounds := f.OpportunitiesPerStation
-	if rounds < 1 {
-		rounds = 1
-	}
+	rounds := f.rounds()
 	groups := f.shardCount()
 	if err := f.Topology.Validate(groups); err != nil {
 		return Result{}, err
@@ -763,7 +418,53 @@ func (f Farm) RunDeterministic(ctx context.Context, job Job, factory station.Sch
 		// barrier already reported this exact state.
 		f.Progress(core.Snapshot())
 	}
-	return f.assemble(core.Reports(), core.Pending(), core.Steals(), core.InFlight(), core.TasksLost()), nil
+	return core.Result(), nil
+}
+
+// rounds is the opportunities each station works through (at least one).
+func (f Farm) rounds() int { return max(f.OpportunitiesPerStation, 1) }
+
+// Survey plays the fleet survey: the job is dealt round-robin into one
+// private queue per station (task i to station i mod n), nothing is shared
+// or stolen, and every station works through all OpportunitiesPerStation
+// contracts whether or not its queue drains — fluid work keeps banking, so
+// utilization is the figure of merit. An empty job surveys fluid work only.
+//
+// It runs on the Core with one group per station. Groups that share nothing
+// need no round barriers, so each worker plays a station's whole horizon in
+// one hand-off (Core.PlayHorizon). Every station's result is a pure function
+// of (seed, station ID, its hand), so the Result is bit-identical at any
+// workers (≤ 0 means GOMAXPROCS). Shards and Topology do not apply; active
+// fault plans are rejected — there are no barriers to stamp faults onto.
+// When several stations fail, the error joins every failure in station
+// order. Cancelling ctx stops every station at its next opportunity
+// boundary and returns ctx.Err(). A Progress observer sees one final
+// snapshot, on failure too.
+func (f Farm) Survey(ctx context.Context, job Job, factory station.SchedulerFactory, seed int64, workers int) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := len(f.Stations)
+	if n == 0 {
+		return Result{}, fmt.Errorf("farm: empty fleet")
+	}
+	if f.Faults.Active() {
+		return Result{}, fmt.Errorf("farm: a survey cannot inject faults (no round barriers to stamp them onto); use RunDeterministic")
+	}
+	f.Topology = Topology{}
+	core := f.NewCore(factory, seed, n, n, false)
+	for _, ws := range f.Stations {
+		core.Join(ws)
+	}
+	core.AddTasks(job.Tasks)
+	err := core.PlayHorizon(ctx, f.rounds(), workers)
+	if f.Progress != nil {
+		f.Progress(core.Snapshot())
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return core.Result(), nil
 }
 
 // FaultSeedSalt derives a run's default fault-draw stream from its seed when
@@ -879,6 +580,53 @@ func (f Farm) ReplicateStations(ctx context.Context, job Job, factory station.Sc
 		return nil, nil, err
 	}
 	return sums[:NumMetrics], sums[NumMetrics:], nil
+}
+
+// Survey replication metric indexes: the order of the columns SurveyShards
+// accumulates.
+const (
+	SurveyMetricWork        = iota // fluid work banked fleet-wide, ticks
+	SurveyMetricLifespan           // lifespan offered fleet-wide, ticks
+	SurveyMetricUtilization        // work / lifespan, in [0, 1]
+	SurveyMetricTaskWork           // completed task duration fleet-wide, ticks
+	SurveyMetricTasks              // tasks completed fleet-wide
+	SurveyMetricInterrupts         // interrupts fleet-wide
+	SurveyMetricKilledTicks        // lifespan destroyed by draconian kills, ticks
+	NumSurveyMetrics
+)
+
+// SurveyShards is ReplicateShards for the fleet survey: trial i plays one
+// Survey on the farm seed drawn from the mc stream for cfg.Seed+i, with the
+// worker budget split by mc.SplitConfig into trials outside and stations
+// inside, and the named shards' partial accumulators (NumSurveyMetrics
+// columns) come back for mc.MergeShards. Bit-identical at any worker budget
+// and wherever each shard runs.
+func (f Farm) SurveyShards(ctx context.Context, job Job, factory station.SchedulerFactory, cfg mc.Config, shardIDs []int) ([]mc.ShardAccums, error) {
+	cfg, inner := mc.SplitConfig(cfg)
+	trial := f
+	trial.Progress = nil // per-trial snapshots are not study progress
+	return mc.RunVecShards(ctx, cfg, NumSurveyMetrics, nil, func(rng *rand.Rand, _ any) ([]float64, error) {
+		res, err := trial.Survey(ctx, job, factory, rng.Int63(), inner)
+		if err != nil {
+			return nil, err
+		}
+		var lifespan, killed quant.Tick
+		for _, s := range res.Stations {
+			lifespan += s.LifespanTicks
+			killed += s.KilledTicks
+		}
+		out := make([]float64, NumSurveyMetrics)
+		out[SurveyMetricWork] = float64(res.FluidWork)
+		out[SurveyMetricLifespan] = float64(lifespan)
+		if lifespan > 0 {
+			out[SurveyMetricUtilization] = float64(res.FluidWork) / float64(lifespan)
+		}
+		out[SurveyMetricTaskWork] = float64(res.TaskWork)
+		out[SurveyMetricTasks] = float64(res.TasksCompleted)
+		out[SurveyMetricInterrupts] = float64(res.Interrupts)
+		out[SurveyMetricKilledTicks] = float64(killed)
+		return out, nil
+	}, shardIDs)
 }
 
 // TopContributors returns the station IDs sorted by completed task work,

@@ -3,8 +3,6 @@ package farm
 import (
 	"context"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cyclesteal/internal/mc"
@@ -28,52 +26,10 @@ func testFarm(n int, owner station.OwnerModel) Farm {
 	return Farm{Stations: stations, OpportunitiesPerStation: 10}
 }
 
-func TestSharedBagBasics(t *testing.T) {
-	s := NewSharedBag(task.Fixed(10, 5))
-	if s.Remaining() != 10 || s.RemainingWork() != 50 {
-		t.Fatalf("remaining %d/%d", s.Remaining(), s.RemainingWork())
-	}
-	got := s.Take(12)
-	if len(got) != 2 {
-		t.Fatalf("Take(12) = %v", got)
-	}
-	s.Return(got)
-	if s.Remaining() != 10 {
-		t.Errorf("after return: %d", s.Remaining())
-	}
-}
-
-func TestSharedBagConcurrentDrainConserves(t *testing.T) {
-	const n = 500
-	s := NewSharedBag(task.Fixed(n, 3))
-	var mu sync.Mutex
-	taken := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				got := s.Take(9) // up to 3 tasks
-				if len(got) == 0 {
-					return
-				}
-				mu.Lock()
-				taken += len(got)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if taken != n || s.Remaining() != 0 {
-		t.Errorf("drained %d, remaining %d; want %d/0", taken, s.Remaining(), n)
-	}
-}
-
 func TestFarmCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000})
 	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 42)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +54,7 @@ func TestFarmConservationAcrossWorkerCounts(t *testing.T) {
 	job := Job{Tasks: task.Uniform(3000, 5, 80, 2)}
 	for _, workers := range []int{1, 2, 8} {
 		f := testFarm(8, station.Laptop{MeanIdle: 3000})
-		f.Workers = workers
-		res, err := f.Run(context.Background(), job, equalizedFactory, 7)
+		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,16 +79,19 @@ func TestFarmConservationAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFarmEmptyFleet(t *testing.T) {
-	if _, err := (Farm{}).Run(context.Background(), Job{}, equalizedFactory, 1); err == nil {
+	if _, err := (Farm{}).RunDeterministic(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
 		t.Error("empty fleet accepted")
+	}
+	if _, err := (Farm{}).Survey(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
+		t.Error("empty fleet accepted by Survey")
 	}
 }
 
 func TestFarmFactoryErrorPropagates(t *testing.T) {
 	f := testFarm(3, station.Laptop{MeanIdle: 2000})
-	_, err := f.Run(context.Background(), Job{Tasks: task.Fixed(100, 5)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+	_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100, 5)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 		return nil, errBoom
-	}, 1)
+	}, 1, 0)
 	if err == nil {
 		t.Error("factory error swallowed")
 	}
@@ -150,7 +108,7 @@ func TestFarmStopsBorrowingWhenJobDone(t *testing.T) {
 	f := testFarm(4, station.Overnight{Window: 50000})
 	f.OpportunitiesPerStation = 50
 	job := Job{Tasks: task.Fixed(5, 10)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 3)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +156,7 @@ func TestFarmMaliciousOwnersStillFinish(t *testing.T) {
 	base := station.Overnight{Window: 30000}
 	f := testFarm(5, station.Malicious{Base: base, Setup: 10})
 	job := Job{Tasks: task.Uniform(500, 5, 40, 9)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 5)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,86 +219,12 @@ func TestReplicateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// --- sharded bag ---------------------------------------------------------------
-
-func TestShardedBagDealAndCounters(t *testing.T) {
-	b := NewShardedBag(task.Fixed(10, 5), 4)
-	if b.Shards() != 4 || b.Remaining() != 10 || b.RemainingWork() != 50 {
-		t.Fatalf("shards=%d remaining=%d work=%d", b.Shards(), b.Remaining(), b.RemainingWork())
-	}
-	src := b.Station(1)
-	got := src.Take(12) // two tasks from home shard 1 (IDs 1, 5)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 5 {
-		t.Fatalf("home take: %v", got)
-	}
-	if b.Remaining() != 8 || b.RemainingWork() != 40 || b.Steals() != 0 {
-		t.Errorf("counters after home take: %d/%d/%d", b.Remaining(), b.RemainingWork(), b.Steals())
-	}
-	src.Return(got)
-	if b.Remaining() != 10 || b.RemainingWork() != 50 {
-		t.Errorf("counters after return: %d/%d", b.Remaining(), b.RemainingWork())
-	}
-}
-
-func TestShardedBagStealOrderAndHomeReturn(t *testing.T) {
-	// 3 shards; drain shard 0, then station 0 must steal from shard 1 first.
-	b := NewShardedBag(task.Fixed(9, 5), 3)
-	s0 := b.Station(0)
-	if got := s0.Take(100); len(got) != 3 {
-		t.Fatalf("draining home: %v", got)
-	}
-	stolen := s0.Take(5)
-	if len(stolen) != 1 || stolen[0].ID%3 != 1 {
-		t.Fatalf("first steal should hit shard 1, got task %v", stolen)
-	}
-	if b.Steals() != 1 {
-		t.Errorf("steals = %d", b.Steals())
-	}
-	// A kill returns the stolen task to the thief's own queue, not the victim's.
-	s0.Return(stolen)
-	back := s0.Take(5)
-	if len(back) != 1 || back[0].ID != stolen[0].ID {
-		t.Fatalf("killed task not requeued at thief's home: %v", back)
-	}
-	if b.Steals() != 1 {
-		t.Errorf("home re-take counted as a steal: %d", b.Steals())
-	}
-}
-
-func TestShardedBagConcurrentDrainConserves(t *testing.T) {
-	const n = 4000
-	b := NewShardedBag(task.Fixed(n, 3), 16)
-	var taken int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := b.Station(w)
-			for {
-				got := src.Take(9)
-				if len(got) == 0 {
-					return
-				}
-				atomic.AddInt64(&taken, int64(len(got)))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if taken != n || b.Remaining() != 0 || b.RemainingWork() != 0 {
-		t.Errorf("drained %d, remaining %d/%d; want %d/0/0", taken, b.Remaining(), b.RemainingWork(), n)
-	}
-	if b.Steals() == 0 {
-		t.Error("draining 16 shards from 8 stations must have stolen")
-	}
-}
-
-// --- live Run on the sharded pool ----------------------------------------------
+// --- pool layouts ------------------------------------------------------------
 
 func TestFarmRunShardedCompletesSmallJob(t *testing.T) {
 	f := testFarm(6, station.Overnight{Window: 20000}) // Shards 0 = auto-sharded
 	job := Job{Tasks: task.Uniform(200, 5, 50, 1)}
-	res, err := f.Run(context.Background(), job, equalizedFactory, 42)
+	res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +238,18 @@ func TestFarmShardsSelection(t *testing.T) {
 	if got := f.shardCount(); got != 6 {
 		t.Errorf("auto shards on 6 stations = %d, want 6", got)
 	}
+	// Shards=1 is one queue the whole fleet shares: nothing to steal from.
 	f.Shards = 1
-	if _, ok := f.newPool(Job{}).(*SharedBag); !ok {
-		t.Error("Shards=1 should select the SharedBag baseline")
+	res, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Uniform(200, 5, 50, 1)}, equalizedFactory, 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steals != 0 || res.TasksLeft != 0 {
+		t.Errorf("one shared queue: %d steals, %d left", res.Steals, res.TasksLeft)
 	}
 	f.Shards = 4
-	pool, ok := f.newPool(Job{}).(*ShardedBag)
-	if !ok || pool.Shards() != 4 {
-		t.Errorf("Shards=4 pool: %T", pool)
+	if got := f.shardCount(); got != 4 {
+		t.Errorf("Shards=4 resolved to %d groups", got)
 	}
 	f.Stations = f.Stations[:2]
 	f.Shards = 100
@@ -373,15 +261,14 @@ func TestFarmShardsSelection(t *testing.T) {
 // Bugfix regression: every failing station must surface, not just the first.
 func TestFarmRunJoinsAllErrors(t *testing.T) {
 	f := testFarm(4, station.Laptop{MeanIdle: 2000})
-	f.Workers = 2
 	// A job far larger than the fleet can finish, so no station skips its
-	// opportunities (and its factory call) just because the bag drained.
-	_, err := f.Run(context.Background(), Job{Tasks: task.Fixed(100000, 50)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
+	// opportunities (and its factory call) just because the queues drained.
+	_, err := f.RunDeterministic(context.Background(), Job{Tasks: task.Fixed(100000, 50)}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
 		if ws.ID%2 == 1 {
 			return nil, errBoom
 		}
 		return sched.NewAdaptiveEqualized(ws.Setup)
-	}, 1)
+	}, 1, 2)
 	if err == nil {
 		t.Fatal("factory errors swallowed")
 	}
@@ -538,15 +425,14 @@ func TestRunDeterministicMemoOnOffBitIdentical(t *testing.T) {
 	}
 }
 
-// The live engine's aggregate invariants (task conservation) must also hold
-// identically with the memo on or off; per-station assignment is free to
-// differ (it is scheduling-dependent either way).
+// Task conservation holds with the memo on or off, on the default
+// auto-sharded layout.
 func TestRunMemoOnOffConserves(t *testing.T) {
 	for _, memoOff := range []bool{false, true} {
 		f := testFarm(16, station.Laptop{MeanIdle: 2000})
 		f.DisableEpisodeMemo = memoOff
 		job := Job{Tasks: task.Uniform(2000, 5, 60, 9)}
-		res, err := f.Run(context.Background(), job, equalizedFactory, 5)
+		res, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -266,8 +266,8 @@ func TestFaultPlanRejections(t *testing.T) {
 		t.Errorf("batch run accepted a scheduler kill: %v", err)
 	}
 	f.Faults = fault.Plan{CrashProb: 0.1}
-	if _, err := f.Run(context.Background(), job, equalizedFactory, 1); err == nil || !strings.Contains(err.Error(), "live engine") {
-		t.Errorf("live run accepted an active fault plan: %v", err)
+	if _, err := f.Survey(context.Background(), job, equalizedFactory, 1, 1); err == nil || !strings.Contains(err.Error(), "survey") {
+		t.Errorf("survey accepted an active fault plan: %v", err)
 	}
 	f.Faults = fault.Plan{CrashProb: 2}
 	if _, err := f.RunDeterministic(context.Background(), job, equalizedFactory, 1, 1); err == nil {

@@ -104,12 +104,12 @@ type Result struct {
 }
 
 // TaskSource supplies indivisible tasks to pack into periods. *task.Bag
-// implements it for single-station runs; the farm package implements it for
-// fleets — farm.SharedBag as one mutex-guarded job bag, and the per-station
-// views of farm.ShardedBag as lock-striped local queues that steal from
-// victims in deterministic order when dry. The simulator itself is
-// indifferent: a take that returns nothing simply packs no tasks into the
-// period, and killed periods hand their in-flight tasks back through Return.
+// implements it, for single-station runs and for the farm engine's group
+// queues (which rebalance by stealing only between rounds, never during a
+// take); the farm's completion tracker wraps a bag to record finished
+// tasks. The simulator itself is indifferent: a take that returns nothing
+// simply packs no tasks into the period, and killed periods hand their
+// in-flight tasks back through Return.
 type TaskSource interface {
 	// Take removes and returns tasks fitting within capacity (first-fit);
 	// nil when nothing fits.

@@ -168,8 +168,14 @@ func (b *Bag) Return(tasks []Task) {
 
 // Append adds tasks at the back of the bag — the landing spot for work
 // migrated in from another queue (front is reserved for killed in-flight
-// tasks, which stay next in line).
+// tasks, which stay next in line). A drained bag appends from the start of
+// its storage, so a queue that runs dry and refills (a barrier steal into
+// an idle group) reuses its array instead of growing past the consumed
+// prefix.
 func (b *Bag) Append(tasks []Task) {
+	if b.head == len(b.buf) {
+		b.buf, b.head = b.buf[:0], 0
+	}
 	b.buf = append(b.buf, tasks...)
 	b.noteAdded(tasks)
 }

@@ -262,6 +262,32 @@ func TestBagStealAndAppend(t *testing.T) {
 	}
 }
 
+// A drained bag refills from the start of its storage: appending into it
+// with enough capacity allocates nothing, however far Take had advanced —
+// cycle after cycle, the array never grows past what one refill needs.
+func TestAppendIntoDrainedBagReusesStorage(t *testing.T) {
+	b := NewBag(Fixed(8, 2))
+	refill := Fixed(8, 2)
+	buf := make([]Task, 0, 8)
+	allocs := testing.AllocsPerRun(1, func() {
+		for cycle := 0; cycle < 64; cycle++ {
+			for b.Remaining() > 0 {
+				buf = b.TakeInto(buf[:0], 4)
+			}
+			b.Append(refill)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("append into a drained bag allocated %v times per run", allocs)
+	}
+	if cap(b.buf) != 8 {
+		t.Errorf("storage grew to %d slots for an 8-task queue", cap(b.buf))
+	}
+	if b.Remaining() != 8 || b.RemainingWork() != 16 {
+		t.Errorf("after refill: %d tasks, %d work", b.Remaining(), b.RemainingWork())
+	}
+}
+
 // TakeInto must agree with Take exactly (same tasks, same bag mutation) —
 // it is the same scan, minus the per-call slice.
 func TestTakeIntoMatchesTake(t *testing.T) {
