@@ -82,9 +82,6 @@ func TestFarmEmptyFleet(t *testing.T) {
 	if _, err := (Farm{}).RunDeterministic(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := (Farm{}).Survey(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
-		t.Error("empty fleet accepted by Survey")
-	}
 }
 
 func TestFarmFactoryErrorPropagates(t *testing.T) {

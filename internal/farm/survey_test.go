@@ -121,6 +121,12 @@ func TestSurveyRunsAllOpportunitiesDespiteEmptyQueues(t *testing.T) {
 	}
 }
 
+func TestSurveyEmptyFleet(t *testing.T) {
+	if _, err := (Farm{}).Survey(context.Background(), Job{}, equalizedFactory, 1, 1); err == nil {
+		t.Error("empty fleet accepted by Survey")
+	}
+}
+
 func TestSurveyFactoryErrorPropagates(t *testing.T) {
 	f := surveyFarm(2, station.Laptop{MeanIdle: 1000})
 	_, err := f.Survey(context.Background(), Job{}, func(ws station.Workstation, c station.Contract) (model.EpisodeScheduler, error) {
