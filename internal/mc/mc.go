@@ -18,6 +18,13 @@
 //     appends new ones, so studies can be widened without invalidating
 //     earlier numbers.
 //
+// The engine keeps the contract without building a source per trial: each
+// worker goroutine owns one *rand.Rand over a source whose Seed is O(1) and
+// whose output equals math/rand's draw for draw (see lazySource), and
+// reseeds it with seed+i before trial i. The *rand.Rand a trial receives
+// therefore belongs to its worker and is reseeded between trials: a closure
+// must not keep it, or anything that draws from it, after it returns.
+//
 // Bit-identical summaries at any worker count are achieved by partitioning
 // trials into a fixed number of shards (trial i belongs to shard i mod
 // Shards, processed in increasing i within a shard) and merging the shard
@@ -35,13 +42,14 @@
 // worker count can influence results, the combined two-level pool keeps the
 // contract.
 //
-// Closures run concurrently: a closure may freely use its private *rand.Rand
-// and anything it creates, but shared inputs (schedulers, solvers) must be
-// treated as read-only. Closures that want reusable per-goroutine scratch
-// (simulator buffers, episode memos) use the per-worker state hook
-// (RunState/RunVecState): the engine builds one state value per worker
-// goroutine and hands it to every trial that worker runs, so trials can ride
-// the allocation-free opportunity path without any synchronization.
+// Closures run concurrently: during the call a closure may freely use its
+// trial's *rand.Rand and anything it creates, but shared inputs (schedulers,
+// solvers) must be treated as read-only. Closures that want reusable
+// per-goroutine scratch (simulator buffers, episode memos) use the
+// per-worker state hook (RunState/RunVecState): the engine builds one state
+// value per worker goroutine and hands it to every trial that worker runs,
+// so trials can ride the allocation-free opportunity path without any
+// synchronization.
 //
 // # Cancellation
 //
@@ -133,8 +141,8 @@ func observe(cfg Config, total int, done *atomic.Int64) (stop func()) {
 	}
 }
 
-// RunFunc is a single-metric trial: it receives the trial's private rng and
-// returns the observed value.
+// RunFunc is a single-metric trial: it receives the trial's rng, valid
+// until it returns (see the package doc), and returns the observed value.
 type RunFunc func(rng *rand.Rand) (float64, error)
 
 // VecFunc is a multi-metric trial: it returns one value per metric, in a
@@ -173,9 +181,10 @@ func Run(ctx context.Context, cfg Config, fn RunFunc) (stats.Summary, error) {
 
 // RunState is Run with the per-worker state hook; newState may be nil.
 func RunState(ctx context.Context, cfg Config, newState NewState, fn StateFunc) (stats.Summary, error) {
-	sums, err := RunVecState(ctx, cfg, 1, newState, func(rng *rand.Rand, state any) ([]float64, error) {
+	sums, err := runAll(ctx, cfg, 1, newState, func(rng *rand.Rand, state any, out []float64) ([]float64, error) {
 		v, err := fn(rng, state)
-		return []float64{v}, err
+		out[0] = v
+		return out, err
 	})
 	if err != nil {
 		return stats.Summary{}, err
@@ -200,6 +209,25 @@ func RunVec(ctx context.Context, cfg Config, metrics int, fn VecFunc) ([]stats.S
 
 // RunVecState is RunVec with the per-worker state hook; newState may be nil.
 func RunVecState(ctx context.Context, cfg Config, metrics int, newState NewState, fn VecStateFunc) ([]stats.Summary, error) {
+	return runAll(ctx, cfg, metrics, newState, vecTrial(fn))
+}
+
+// trialFunc is the engine's internal trial shape. out is a metrics-long
+// slot owned by the worker goroutine; a trial may fill and return it instead
+// of allocating its own result slice, which is how the single-metric entry
+// points run allocation-free.
+type trialFunc func(rng *rand.Rand, state any, out []float64) ([]float64, error)
+
+// vecTrial adapts a multi-metric trial, which returns its own slice, to the
+// engine's trial shape.
+func vecTrial(fn VecStateFunc) trialFunc {
+	return func(rng *rand.Rand, state any, _ []float64) ([]float64, error) {
+		return fn(rng, state)
+	}
+}
+
+// runAll runs every shard of the study and merges the result.
+func runAll(ctx context.Context, cfg Config, metrics int, newState NewState, fn trialFunc) ([]stats.Summary, error) {
 	all := make([]int, Shards)
 	for s := range all {
 		all[s] = s
@@ -255,13 +283,13 @@ func RunVecShards(ctx context.Context, cfg Config, metrics int, newState NewStat
 		}
 		seen[s] = true
 	}
-	return runShardSubset(ctx, cfg, metrics, newState, fn, shardIDs)
+	return runShardSubset(ctx, cfg, metrics, newState, vecTrial(fn), shardIDs)
 }
 
 // runShardSubset is the engine core: it executes the trials of the given
 // shards (validated by the caller) on the worker pool and returns one
 // partial accumulator set per shard, in the order requested.
-func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewState, fn VecStateFunc, shardIDs []int) ([]ShardAccums, error) {
+func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewState, fn trialFunc, shardIDs []int) ([]ShardAccums, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -302,6 +330,9 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 			defer wg.Done()
 			var state any
 			stateBuilt := false
+			// One rng per worker, reseeded per trial (see the package doc).
+			rng := rand.New(new(lazySource))
+			out := make([]float64, metrics)
 			for j := range jobs {
 				s := shardIDs[j]
 				st := &shards[j]
@@ -323,8 +354,8 @@ func runShardSubset(ctx context.Context, cfg Config, metrics int, newState NewSt
 						state = newState()
 						stateBuilt = true
 					}
-					rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-					vals, err := fn(rng, state)
+					rng.Seed(cfg.Seed + int64(i))
+					vals, err := fn(rng, state, out)
 					if err == nil && len(vals) != metrics {
 						err = fmt.Errorf("mc: trial %d returned %d metrics, want %d", i, len(vals), metrics)
 					}

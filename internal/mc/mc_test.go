@@ -45,25 +45,78 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunSeedStreamContract checks the package's seed-stream contract trial
+// by trial: every trial's first contractDraws mixed draws must equal those of
+// rand.New(rand.NewSource(seed+i)), at one worker and at eight. The draw
+// count crosses the points (273 and 607 raw draws) where the engine's lazily
+// seeded source changes how it produces output, and the base seeds cover the
+// seed reduction's edges: zero, negatives, multiples of the LCG modulus
+// 2³¹−1 and their neighbours, and wrap-around near math.MinInt64 and
+// math.MaxInt64.
 func TestRunSeedStreamContract(t *testing.T) {
-	// Trial i must see exactly rand.New(rand.NewSource(seed+i)).
-	const seed, trials = 99, 257
-	want := make([]float64, trials)
-	for i := range want {
-		want[i] = rand.New(rand.NewSource(seed + int64(i))).Float64()
+	const (
+		trials        = 70 // more than Shards, so workers reseed a used source
+		contractDraws = 1200
+		m             = 1<<31 - 1
+	)
+	seeds := []int64{
+		0, -1, 99,
+		m, m - 1, m + 1, -m, -m - 1, 2*m - 30, -3*m + 5,
+		(math.MaxInt64 / m) * m, (math.MinInt64 / m) * m,
+		math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 40,
 	}
-	sum, err := Run(context.Background(), Config{Trials: trials, Seed: seed, Workers: 8}, func(rng *rand.Rand) (float64, error) {
-		return rng.Float64(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := stats.Summarize(want)
-	if sum.N != trials {
-		t.Fatalf("n=%d want %d", sum.N, trials)
-	}
-	if math.Abs(sum.Mean-ref.Mean) > 1e-12 || sum.Min != ref.Min || sum.Max != ref.Max {
-		t.Errorf("summary does not match the promised per-trial streams:\n  got %+v\n  want %+v", sum, ref)
+	for _, seed := range seeds {
+		// The first Int63 of each promised stream names the stream. Trials
+		// may legitimately share one: math/rand reduces seeds mod 2³¹−1, so
+		// near the int64 wrap two trials can reduce alike (and then their
+		// whole streams agree, which is checked here).
+		streamOf := make(map[int64]int, trials) // first draw → lowest trial with that stream
+		want := make([]int, trials)             // trials per stream, by that trial
+		for i := 0; i < trials; i++ {
+			first := rand.New(rand.NewSource(seed + int64(i))).Int63()
+			j, dup := streamOf[first]
+			if !dup {
+				streamOf[first] = i
+				want[i]++
+				continue
+			}
+			a, b := rand.New(rand.NewSource(seed+int64(i))), rand.New(rand.NewSource(seed+int64(j)))
+			for k := 0; k < contractDraws; k++ {
+				if mixedDraw(a, k) != mixedDraw(b, k) {
+					t.Fatalf("seed %d: trials %d and %d share a first draw only; pick another seed", seed, j, i)
+				}
+			}
+			want[j]++
+		}
+		for _, workers := range []int{1, 8} {
+			var mu sync.Mutex
+			seen := make([]int, trials)
+			_, err := Run(context.Background(), Config{Trials: trials, Seed: seed, Workers: workers}, func(rng *rand.Rand) (float64, error) {
+				i, ok := streamOf[rng.Int63()]
+				if !ok {
+					return 0, fmt.Errorf("first draw matches no promised stream")
+				}
+				mu.Lock()
+				seen[i]++
+				mu.Unlock()
+				ref := rand.New(rand.NewSource(seed + int64(i)))
+				ref.Int63()
+				for k := 1; k < contractDraws; k++ {
+					if g, w := mixedDraw(rng, k), mixedDraw(ref, k); g != w {
+						return 0, fmt.Errorf("stream of trial %d diverges at draw %d: %#x, want %#x", i, k, g, w)
+					}
+				}
+				return 0, nil
+			})
+			if err != nil {
+				t.Fatalf("seed %d, workers %d: %v", seed, workers, err)
+			}
+			for i := range seen {
+				if seen[i] != want[i] {
+					t.Fatalf("seed %d, workers %d: stream of trial %d ran %d times, want %d", seed, workers, i, seen[i], want[i])
+				}
+			}
+		}
 	}
 }
 

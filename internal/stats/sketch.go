@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Sketch is a mergeable quantile sketch with a guaranteed rank-error bound:
 // a KLL-style compactor hierarchy, derandomized with Munro–Paterson
@@ -183,7 +186,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 // and re-sorting per query would triple that cost.
 func (s *Sketch) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	items, weights := s.sorted()
+	items := s.sorted()
 	if len(items) == 0 {
 		return out
 	}
@@ -196,11 +199,11 @@ func (s *Sketch) Quantiles(qs ...float64) []float64 {
 		}
 		target := q * float64(s.n)
 		var cum float64
-		out[k] = items[len(items)-1]
-		for i, v := range items {
-			cum += float64(weights[i])
+		out[k] = items[len(items)-1].v
+		for _, it := range items {
+			cum += float64(it.w)
 			if cum >= target {
-				out[k] = v
+				out[k] = it.v
 				break
 			}
 		}
@@ -208,31 +211,33 @@ func (s *Sketch) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// sorted flattens the hierarchy into value-sorted parallel slices of values
-// and weights.
-func (s *Sketch) sorted() ([]float64, []int64) {
-	total := s.Retained()
-	if total == 0 {
-		return nil, nil
-	}
-	items := make([]float64, 0, total)
-	weights := make([]int64, 0, total)
+// weighted is one retained value and the number of observations it stands
+// for.
+type weighted struct {
+	v float64
+	w int64
+}
+
+// sorted flattens the hierarchy into (value, weight) pairs sorted by value.
+// The order among tied values is unspecified; it cannot change a quantile,
+// because Quantiles returns the value at which the cumulative weight crosses
+// its target, and every member of a tied run has the same value.
+func (s *Sketch) sorted() []weighted {
+	items := make([]weighted, 0, s.Retained())
 	for l, vals := range s.levels {
 		w := int64(1) << l
 		for _, v := range vals {
-			items = append(items, v)
-			weights = append(weights, w)
+			items = append(items, weighted{v, w})
 		}
 	}
-	idx := make([]int, total)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return items[idx[a]] < items[idx[b]] })
-	sv := make([]float64, total)
-	sw := make([]int64, total)
-	for i, j := range idx {
-		sv[i], sw[i] = items[j], weights[j]
-	}
-	return sv, sw
+	slices.SortFunc(items, func(a, b weighted) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
+	return items
 }

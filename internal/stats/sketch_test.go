@@ -219,3 +219,67 @@ func TestSketchEmptyAndClamp(t *testing.T) {
 		t.Error("clamped q")
 	}
 }
+
+// TestSketchQuantilesTiedWeights pins the quantiles of a sketch whose
+// retained set holds the same values at several weights. The sort inside
+// Quantiles leaves tied values in no particular order; the answers must not
+// depend on it, so they are checked against a reference that pools each
+// distinct value's weight, and again after shuffling every level.
+func TestSketchQuantilesTiedWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := NewSketch(8)
+	for i := 0; i < 1000; i++ {
+		s.Add(float64(rng.Intn(4)))
+	}
+	weightsOf := map[float64]map[int64]bool{}
+	pooled := map[float64]int64{}
+	for l, vals := range s.levels {
+		for _, v := range vals {
+			if weightsOf[v] == nil {
+				weightsOf[v] = map[int64]bool{}
+			}
+			weightsOf[v][int64(1)<<l] = true
+			pooled[v] += int64(1) << l
+		}
+	}
+	mixed := false
+	for _, ws := range weightsOf {
+		mixed = mixed || len(ws) > 1
+	}
+	if !mixed {
+		t.Fatal("no value is retained at two different weights; the test shape does not exercise ties")
+	}
+	distinct := make([]float64, 0, len(pooled))
+	for v := range pooled {
+		distinct = append(distinct, v)
+	}
+	sort.Float64s(distinct)
+	want := func(q float64) float64 {
+		target := q * float64(s.N())
+		var cum float64
+		for _, v := range distinct {
+			cum += float64(pooled[v])
+			if cum >= target {
+				return v
+			}
+		}
+		return distinct[len(distinct)-1]
+	}
+	var qs []float64
+	for k := 0; k <= 200; k++ {
+		qs = append(qs, float64(k)/200)
+	}
+	check := func(label string) {
+		got := s.Quantiles(qs...)
+		for k, q := range qs {
+			if w := want(q); got[k] != w {
+				t.Errorf("%s: q=%.3f got %v want %v", label, q, got[k], w)
+			}
+		}
+	}
+	check("as built")
+	for _, vals := range s.levels {
+		rng.Shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
+	}
+	check("levels shuffled")
+}
