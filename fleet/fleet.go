@@ -604,14 +604,17 @@ func (f *Fleet) shards() int {
 	return f.cfg.Shards
 }
 
-// job quantizes the caller's task durations onto the tick grid.
-func (f *Fleet) job(job Job) farm.Job {
+// job quantizes the caller's task durations onto the tick grid and returns
+// the quantized job with its total task time.
+func (f *Fleet) job(job Job) (farm.Job, quant.Tick) {
 	if len(job.Tasks) == 0 {
-		return farm.Job{}
+		return farm.Job{}, 0
 	}
 	tasks := make([]task.Task, len(job.Tasks))
+	var total quant.Tick
 	for i, d := range job.Tasks {
 		tasks[i] = task.Task{ID: i, Duration: f.g.ticks(d)}
+		total += tasks[i].Duration
 	}
-	return farm.Job{Tasks: tasks}
+	return farm.Job{Tasks: tasks}, total
 }

@@ -88,7 +88,7 @@ func (r Result) Imbalance() float64 {
 // ctx stops every station at its next opportunity boundary and returns
 // ctx.Err().
 func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
-	fj := f.job(job)
+	fj, total := f.job(job)
 	stations, recorded, err := f.runStations()
 	if err != nil {
 		return Result{}, err
@@ -104,7 +104,7 @@ func (f *Fleet) Run(ctx context.Context, job Job) (Result, error) {
 		return Result{}, err
 	}
 	recorded()
-	return f.result(res, fj.TotalWork()), nil
+	return f.result(res, total), nil
 }
 
 // RunDeterministic is Run, kept under the name callers of the round engine

@@ -165,8 +165,8 @@ func (f *Fleet) Study(job Job, trials int) (*Study, error) {
 		interval: f.cfg.ProgressInterval,
 		factory:  f.factory,
 		fm:       f.farm(f.stations),
-		fj:       f.job(job),
 	}
+	s.fj, _ = f.job(job)
 	// Trials run exactly what Run would: a survey for a Private pool or an
 	// empty job, the shared-job round engine otherwise.
 	s.survey = f.survey(s.fj)

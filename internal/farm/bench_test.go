@@ -40,6 +40,22 @@ func BenchmarkFarmRunDeterministic(b *testing.B) {
 	}
 }
 
+// BenchmarkFarmAddTasks is the serial deal a batch run pays before its
+// first round: 20k exp(12)-tick tasks into a fresh 64-group Core (building
+// the Core is not timed).
+func BenchmarkFarmAddTasks(b *testing.B) {
+	f := benchFleet(64)
+	tasks := task.Exponential(20000, 12, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		core := f.NewCore(equalizedFactory, int64(i), 64, 64, false)
+		b.StartTimer()
+		core.AddTasks(tasks)
+	}
+}
+
 // BenchmarkFarmTopologyDeterministic runs the round engine on a two-tier
 // fleet with a cluster-aligned supply skew and a priced crossing — the E14
 // configuration — covering the cluster rebalance and the flight ledger under

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cyclesteal/internal/fault"
 	"cyclesteal/internal/quant"
@@ -249,26 +250,29 @@ func (c *Core) TasksLost() int { return c.tasksLost }
 
 // drainGroup redistributes an orphaned group's queue across the groups that
 // still have live stations, round-robin in group order (an empty fleet keeps
-// the tasks queued for the next join instead).
+// the tasks queued for the next join instead). Each receiving group counts
+// as one steal.
 func (c *Core) drainGroup(g int) {
 	n := c.queues[g].Remaining()
 	if n == 0 || c.live == 0 {
 		return
 	}
 	tasks := c.queues[g].Steal(n) // the whole queue, in bag order
-	targets := make([]int, 0, c.groups)
-	for t := 0; t < c.groups; t++ {
-		if c.liveIn[t] > 0 {
-			targets = append(targets, t)
+	targets := c.liveQueues()
+	task.DealInto(targets, tasks)
+	c.steals += min(n, len(targets))
+}
+
+// liveQueues lists, in group order, the queues of groups that still have a
+// live station.
+func (c *Core) liveQueues() []*task.Bag {
+	targets := make([]*task.Bag, 0, c.groups)
+	for g, q := range c.queues {
+		if c.liveIn[g] > 0 {
+			targets = append(targets, q)
 		}
 	}
-	for i, hand := range task.Deal(tasks, len(targets)) {
-		if len(hand) == 0 {
-			continue
-		}
-		c.queues[targets[i]].Append(hand)
-		c.steals++
-	}
+	return targets
 }
 
 // AddTasks deals newly arrived tasks round-robin across the group queues —
@@ -283,26 +287,10 @@ func (c *Core) AddTasks(tasks []task.Task) {
 	c.total += len(tasks)
 	if c.live == 0 || c.live == len(c.runners) {
 		// Fast path (and the batch engines' only path): no group is dead.
-		for g, hand := range task.Deal(tasks, c.groups) {
-			c.queues[g].Append(hand)
-		}
+		task.DealInto(c.queues, tasks)
 		return
 	}
-	targets := make([]int, 0, c.groups)
-	for g := 0; g < c.groups; g++ {
-		if c.liveIn[g] > 0 {
-			targets = append(targets, g)
-		}
-	}
-	if len(targets) == 0 {
-		targets = targets[:0]
-		for g := 0; g < c.groups; g++ {
-			targets = append(targets, g)
-		}
-	}
-	for i, hand := range task.Deal(tasks, len(targets)) {
-		c.queues[targets[i]].Append(hand)
-	}
+	task.DealInto(c.liveQueues(), tasks)
 }
 
 // SetCheckpoint changes the checkpoint policy for every subsequent
@@ -387,15 +375,15 @@ func (c *Core) Result() Result {
 }
 
 // PlayRound plays one opportunity per live station and runs the round
-// barrier. Groups run concurrently on the worker pool, but each group plays
-// its stations sequentially in slot order against its own queue, so no queue
-// is ever touched by two goroutines; at the barrier the steal clock
-// advances, matured cross-cluster parcels land, and groups that arrived dry
-// rebalance in deterministic cyclic order. workers ≤ 0 means GOMAXPROCS —
-// like everywhere else in the determinism contract it changes wall-clock
-// time only. On cancellation or a station error the barrier does not run
-// (queues keep their played state) and the error is returned; runner errors
-// join in slot order.
+// barrier. Groups go to workers players, the calling goroutine among them,
+// and each group plays its stations sequentially in slot order against its
+// own queue, so no queue is ever touched by two goroutines; at the barrier
+// the steal clock advances, matured cross-cluster parcels land, and groups
+// that arrived dry rebalance in deterministic cyclic order. workers ≤ 0
+// means GOMAXPROCS — like everywhere else in the determinism contract it
+// changes wall-clock time only. On cancellation or a station error the
+// barrier does not run (queues keep their played state) and the error is
+// returned; runner errors join in slot order.
 func (c *Core) PlayRound(ctx context.Context, workers int) error {
 	if err := c.PlayHorizon(ctx, 1, workers); err != nil {
 		return err
@@ -405,37 +393,35 @@ func (c *Core) PlayRound(ctx context.Context, workers int) error {
 }
 
 // PlayHorizon plays rounds opportunities per live station with no barrier
-// in between. Groups run concurrently on the worker pool (workers ≤ 0 means
-// GOMAXPROCS), each working through its whole horizon in one hand-off —
-// round by round, its stations in slot order — so nothing rebalances, the
-// steal clock never moves and no faults apply: the survey layout's
-// evolution (one station per group, no stealing). PlayRound is one such
-// round plus the barrier. On cancellation PlayHorizon returns ctx.Err();
-// otherwise every runner error, joined in slot order (an erred station
-// stops while the rest play on).
+// in between. The calling goroutine and workers−1 helpers (workers ≤ 0
+// means GOMAXPROCS, at most one player per group) claim groups from a
+// shared cursor, each group working through its whole horizon in one
+// hand-off — round by round, its stations in slot order — so nothing
+// rebalances, the steal clock never moves and no faults apply: the survey
+// layout's evolution (one station per group, no stealing). PlayRound is one
+// such round plus the barrier. On cancellation PlayHorizon returns
+// ctx.Err(); otherwise every runner error, joined in slot order (an erred
+// station stops while the rest play on).
 func (c *Core) PlayHorizon(ctx context.Context, rounds, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > c.groups {
-		workers = c.groups
-	}
 	n := len(c.runners)
-	gjobs := make(chan int)
+	var next atomic.Int64
+	play := func() {
+		for g := int(next.Add(1) - 1); g < c.groups; g = int(next.Add(1) - 1) {
+			c.playGroup(ctx, g, n, rounds)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, c.groups); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range gjobs {
-				c.playGroup(ctx, g, n, rounds)
-			}
+			play()
 		}()
 	}
-	for g := 0; g < c.groups; g++ {
-		gjobs <- g
-	}
-	close(gjobs)
+	play()
 	wg.Wait()
 	// Cancellation trumps station errors: which stations got far enough to
 	// fail some other way depends on scheduling; the cancellation does not.

@@ -106,8 +106,10 @@ type Result struct {
 }
 
 // CompletionFraction is completed task work over the job's total.
-func (r Result) CompletionFraction(j Job) float64 {
-	total := j.TotalWork()
+func (r Result) CompletionFraction(j Job) float64 { return r.completionOf(j.TotalWork()) }
+
+// completionOf is CompletionFraction against a precomputed job total.
+func (r Result) completionOf(total quant.Tick) float64 {
 	if total == 0 {
 		return 1
 	}
@@ -323,21 +325,22 @@ func adaptiveCheckpoint(s quant.Tick, contract station.Contract) quant.Tick {
 // RunDeterministic farms the job with fully reproducible semantics at any
 // worker count — the engine Replicate runs inside the mc trial pool.
 //
-// Stations are partitioned into shardCount() groups (station i in group
-// i mod groups), each group owning one local task queue dealt round-robin
-// from the job. Execution proceeds in synchronized rounds, one opportunity
-// per station per round: within a round, groups run concurrently but each
-// group plays its stations *sequentially* against its own queue, so no queue
-// is ever touched by two goroutines; at the round barrier, empty queues
-// steal half the tasks of the first non-empty victim in deterministic cyclic
-// group order — under a Topology, first within their own cluster, then (only
-// when the cluster arrived collectively dry) across clusters, where a
-// CrossLatency > 0 steal departs into a flight ledger and lands at the first
-// barrier whose steal clock (Σ lifespans played) has reached its maturity.
-// Stations stop borrowing when a barrier finds the whole job done (in-flight
-// tasks count as not done; nothing is mid-opportunity when the done-check
-// runs). Killed-period tasks return to the front of the running group's own
-// queue, where they stay next in line.
+// Stations are partitioned into shardCount() groups (station i in group i
+// mod groups), each group owning one local task queue dealt round-robin from
+// the job. Execution proceeds in synchronized rounds, one opportunity per
+// station per round: within a round, groups go to workers players, the
+// calling goroutine among them, and each group plays its stations
+// *sequentially* against its own queue, so no queue is ever touched by two
+// goroutines; at the round barrier, empty queues steal half the tasks of the
+// first non-empty victim in deterministic cyclic group order — under a
+// Topology, first within their own cluster, then (only when the cluster
+// arrived collectively dry) across clusters, where a CrossLatency > 0 steal
+// departs into a flight ledger and lands at the first barrier whose steal
+// clock (Σ lifespans played) has reached its maturity. Stations stop
+// borrowing when a barrier finds the whole job done (in-flight tasks count
+// as not done; nothing is mid-opportunity when the done-check runs).
+// Killed-period tasks return to the front of the running group's own queue,
+// where they stay next in line.
 //
 // Every mutation is therefore ordered by (round, group, station index) — a
 // pure function of (fleet, job, factory, seed, Shards). workers ≤ 0 means
@@ -510,13 +513,14 @@ func (f Farm) trialVec(ctx context.Context, job Job, factory station.SchedulerFa
 	trial := f
 	trial.Progress = nil // per-trial round barriers are not job progress
 	cols := f.ReplicateColumns(stationCols)
+	total := job.TotalWork()
 	return func(rng *rand.Rand) ([]float64, error) {
 		res, err := trial.RunDeterministic(ctx, job, factory, rng.Int63(), inner)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]float64, cols)
-		fillMetrics(out, res, job)
+		fillMetrics(out, res, total)
 		if stationCols {
 			for i, s := range res.Stations {
 				out[NumMetrics+i] = float64(s.LifespanTicks)
@@ -550,14 +554,14 @@ func (f Farm) ReplicateShards(ctx context.Context, job Job, factory station.Sche
 }
 
 // fillMetrics writes one trial's metric vector into out[:NumMetrics],
-// indexed by the Metric* constants.
-func fillMetrics(out []float64, res Result, job Job) {
+// indexed by the Metric* constants; total is the job's total task time.
+func fillMetrics(out []float64, res Result, total quant.Tick) {
 	var killed quant.Tick
 	for _, s := range res.Stations {
 		killed += s.KilledTicks
 	}
 	out[MetricTasksCompleted] = float64(res.TasksCompleted)
-	out[MetricCompletionFrac] = res.CompletionFraction(job)
+	out[MetricCompletionFrac] = res.completionOf(total)
 	out[MetricFluidWork] = float64(res.FluidWork)
 	out[MetricKilledTicks] = float64(killed)
 	out[MetricInterrupts] = float64(res.Interrupts)

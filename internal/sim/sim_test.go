@@ -674,8 +674,8 @@ func TestCheckpointKillBanksTaskPrefix(t *testing.T) {
 	if res.SetupTicks != 40 {
 		t.Errorf("SetupTicks = %d, want 40", res.SetupTicks)
 	}
-	if bag.Remaining() != 2 || bag.RemainingWork() != 70 {
-		t.Errorf("bag after run: %d tasks, %d work; want 2/70", bag.Remaining(), bag.RemainingWork())
+	if left := bag.Steal(bag.Remaining()); len(left) != 2 || task.Durations(left) != 70 {
+		t.Errorf("bag after run: %d tasks, %d work; want 2/70", len(left), task.Durations(left))
 	}
 }
 

@@ -11,6 +11,7 @@ package task
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cyclesteal/internal/quant"
 )
@@ -34,9 +35,8 @@ type Task struct {
 // difference between linear and quadratic total work on fleet-scale queues
 // holding tens of thousands of tasks.
 type Bag struct {
-	buf    []Task
-	head   int
-	nextID int
+	buf  []Task
+	head int
 	// minDur is a lower bound on the smallest pending duration (0 when the
 	// bag has never held a task). Removals can only raise the true minimum,
 	// so the bound stays valid without rescanning; it lets Take reject
@@ -46,16 +46,8 @@ type Bag struct {
 
 // NewBag builds a bag from explicit tasks.
 func NewBag(tasks []Task) *Bag {
-	b := &Bag{buf: make([]Task, len(tasks))}
-	copy(b.buf, tasks)
-	for _, t := range tasks {
-		if t.ID >= b.nextID {
-			b.nextID = t.ID + 1
-		}
-		if b.minDur == 0 || t.Duration < b.minDur {
-			b.minDur = t.Duration
-		}
-	}
+	b := &Bag{buf: slices.Clone(tasks)}
+	b.noteAdded(tasks)
 	return b
 }
 
@@ -73,15 +65,6 @@ func (b *Bag) noteAdded(tasks []Task) {
 
 // Remaining reports how many tasks are still pending.
 func (b *Bag) Remaining() int { return len(b.buf) - b.head }
-
-// RemainingWork reports the total duration of pending tasks.
-func (b *Bag) RemainingWork() quant.Tick {
-	var sum quant.Tick
-	for _, t := range b.pending() {
-		sum += t.Duration
-	}
-	return sum
-}
 
 // Take removes and returns a set of tasks that fits within capacity, scanning
 // the bag in order and skipping tasks that do not fit (first-fit). The
@@ -173,11 +156,16 @@ func (b *Bag) Return(tasks []Task) {
 // an idle group) reuses its array instead of growing past the consumed
 // prefix.
 func (b *Bag) Append(tasks []Task) {
+	b.rewindDrained()
+	b.buf = append(b.buf, tasks...)
+	b.noteAdded(tasks)
+}
+
+// rewindDrained rewinds a drained bag to the start of its storage.
+func (b *Bag) rewindDrained() {
 	if b.head == len(b.buf) {
 		b.buf, b.head = b.buf[:0], 0
 	}
-	b.buf = append(b.buf, tasks...)
-	b.noteAdded(tasks)
 }
 
 // Steal removes and returns up to n tasks from the back of the bag, in bag
@@ -197,24 +185,27 @@ func (b *Bag) Steal(n int) []Task {
 	return stolen
 }
 
-// Deal splits a task set into n hands by round-robin on task index — the
-// deterministic partition the sharded farm bag starts from. Task i lands in
-// hand i mod n, so the split is a pure function of (tasks, n): independent
-// of worker scheduling, and every hand sees a representative duration mix
-// even when the set is sorted.
-func Deal(tasks []Task, n int) [][]Task {
-	if n < 1 {
-		n = 1
+// DealInto appends task i to the back of bags[i mod len(bags)], in task
+// order — the deterministic round-robin partition the farm's group queues
+// start from and refill by. The split is a pure function of (tasks,
+// len(bags)): independent of worker scheduling, and every queue sees a
+// representative duration mix even when the set is sorted. Each bag grows
+// its storage at most once, and a drained bag refills from the start of its
+// storage, exactly as Append does.
+func DealInto(bags []*Bag, tasks []Task) {
+	n := len(bags)
+	for h := 0; h < n && h < len(tasks); h++ {
+		b := bags[h]
+		b.rewindDrained()
+		at := len(b.buf)
+		if need := at + (len(tasks)-h+n-1)/n; need > cap(b.buf) {
+			b.buf = append(make([]Task, 0, need), b.buf...)
+		}
+		for i := h; i < len(tasks); i += n {
+			b.buf = append(b.buf, tasks[i])
+		}
+		b.noteAdded(b.buf[at:])
 	}
-	hands := make([][]Task, n)
-	per := len(tasks)/n + 1
-	for h := range hands {
-		hands[h] = make([]Task, 0, per)
-	}
-	for i, t := range tasks {
-		hands[i%n] = append(hands[i%n], t)
-	}
-	return hands
 }
 
 // CompletedPrefix returns the length of the longest prefix of tasks that

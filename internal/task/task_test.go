@@ -2,19 +2,23 @@ package task
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"cyclesteal/internal/quant"
 )
 
+// remainingWork is the total duration of b's pending tasks.
+func remainingWork(b *Bag) quant.Tick { return Durations(b.pending()) }
+
 func TestNewBagAndRemaining(t *testing.T) {
 	b := NewBag(Fixed(5, 10))
 	if b.Remaining() != 5 {
 		t.Errorf("Remaining = %d, want 5", b.Remaining())
 	}
-	if b.RemainingWork() != 50 {
-		t.Errorf("RemainingWork = %d, want 50", b.RemainingWork())
+	if remainingWork(b) != 50 {
+		t.Errorf("remaining work = %d, want 50", remainingWork(b))
 	}
 }
 
@@ -35,8 +39,8 @@ func TestTakeFirstFitSkipsOversized(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Errorf("Take(12) = %v, want tasks 1 and 2", got)
 	}
-	if b.Remaining() != 1 || b.RemainingWork() != 50 {
-		t.Errorf("big task should remain, got %d tasks / %d work", b.Remaining(), b.RemainingWork())
+	if b.Remaining() != 1 || remainingWork(b) != 50 {
+		t.Errorf("big task should remain, got %d tasks / %d work", b.Remaining(), remainingWork(b))
 	}
 }
 
@@ -76,7 +80,7 @@ func TestTakeReturnConservesWork(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tasks := Uniform(30, 1, 40, seed)
 		b := NewBag(tasks)
-		totalBefore := b.RemainingWork()
+		totalBefore := remainingWork(b)
 		var inFlight []Task
 		for i := 0; i < 10; i++ {
 			cap := quant.Tick(1 + rng.Int63n(100))
@@ -90,7 +94,7 @@ func TestTakeReturnConservesWork(t *testing.T) {
 				inFlight = append(inFlight, got...) // completed
 			}
 		}
-		return b.RemainingWork()+Durations(inFlight) == totalBefore
+		return remainingWork(b)+Durations(inFlight) == totalBefore
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -196,13 +200,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNewBagAssignsNextID(t *testing.T) {
-	b := NewBag([]Task{{ID: 7, Duration: 3}})
-	if b.nextID != 8 {
-		t.Errorf("nextID = %d, want 8", b.nextID)
-	}
-}
-
 func TestDurations(t *testing.T) {
 	if Durations(nil) != 0 {
 		t.Error("Durations(nil) != 0")
@@ -213,24 +210,125 @@ func TestDurations(t *testing.T) {
 }
 
 func TestDealRoundRobin(t *testing.T) {
-	tasks := Fixed(10, 5)
-	hands := Deal(tasks, 3)
-	if len(hands) != 3 {
-		t.Fatalf("hands = %d", len(hands))
-	}
-	sizes := []int{len(hands[0]), len(hands[1]), len(hands[2])}
+	bags := []*Bag{NewBag(nil), NewBag(nil), NewBag(nil)}
+	DealInto(bags, Fixed(10, 5))
+	sizes := []int{bags[0].Remaining(), bags[1].Remaining(), bags[2].Remaining()}
 	if sizes[0] != 4 || sizes[1] != 3 || sizes[2] != 3 {
-		t.Errorf("hand sizes %v, want [4 3 3]", sizes)
+		t.Errorf("queue sizes %v, want [4 3 3]", sizes)
 	}
-	for h, hand := range hands {
-		for j, task := range hand {
+	for h, b := range bags {
+		for j, task := range b.pending() {
 			if task.ID != h+3*j {
-				t.Errorf("hand %d[%d] = task %d, want %d", h, j, task.ID, h+3*j)
+				t.Errorf("queue %d[%d] = task %d, want %d", h, j, task.ID, h+3*j)
 			}
 		}
 	}
-	if got := Deal(nil, 0); len(got) != 1 || len(got[0]) != 0 {
-		t.Errorf("degenerate deal: %v", got)
+	DealInto(nil, nil) // degenerate: nothing to deal, nowhere to deal it
+	DealInto(bags[:1], nil)
+	if bags[0].Remaining() != 4 {
+		t.Errorf("empty deal changed the queue: %d tasks", bags[0].Remaining())
+	}
+}
+
+// dealRef is the two-step deal DealInto replaced, kept as the reference it
+// must match: split the tasks into len(bags) round-robin hands, then Append
+// each hand to its bag.
+func dealRef(bags []*Bag, tasks []Task) {
+	n := len(bags)
+	hands := make([][]Task, n)
+	for i, t := range tasks {
+		hands[i%n] = append(hands[i%n], t)
+	}
+	for h, hand := range hands {
+		bags[h].Append(hand)
+	}
+}
+
+// DealInto must leave every queue exactly as dealRef does — same pending
+// order, same count, and the same answers to every later TakeInto (which
+// also exercises the min-duration bound) — into empty, drained and
+// part-consumed bags, for 0 tasks, fewer tasks than groups, and many.
+func TestDealIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	// prepare builds n bags in a state drawn from seed: empty, drained, or
+	// holding a part-consumed queue with killed tasks returned to its front.
+	prepare := func(n int, seed int64) []*Bag {
+		r := rand.New(rand.NewSource(seed))
+		bags := make([]*Bag, n)
+		var buf []Task
+		for i := range bags {
+			bags[i] = NewBag(Uniform(r.Intn(40), 1, 30, r.Int63()))
+			switch r.Intn(3) {
+			case 1: // drained
+				for bags[i].Remaining() > 0 {
+					buf = bags[i].TakeInto(buf[:0], 1<<20)
+				}
+			case 2: // part-consumed, a kill's tasks back at the front
+				buf = bags[i].TakeInto(buf[:0], quant.Tick(r.Intn(60)))
+				buf = bags[i].TakeInto(buf[:0], quant.Tick(r.Intn(60)))
+				bags[i].Return(buf)
+			}
+		}
+		return bags
+	}
+	for n := 1; n <= 70; n++ {
+		for _, count := range []int{0, 1, n - 1, n, n + 1, rng.Intn(5 * n), 3*n + rng.Intn(200)} {
+			seed := rng.Int63()
+			tasks := Uniform(count, 1, 60, seed)
+			got, want := prepare(n, seed), prepare(n, seed)
+			DealInto(got, tasks)
+			dealRef(want, tasks)
+			var gbuf, wbuf []Task
+			for g := range got {
+				if !slices.Equal(got[g].pending(), want[g].pending()) || got[g].Remaining() != want[g].Remaining() {
+					t.Fatalf("n=%d count=%d bag %d: pending %v, want %v", n, count, g, got[g].pending(), want[g].pending())
+				}
+				for step := 0; step < 20; step++ {
+					cap := quant.Tick(rng.Intn(70))
+					gbuf = got[g].TakeInto(gbuf[:0], cap)
+					wbuf = want[g].TakeInto(wbuf[:0], cap)
+					if !slices.Equal(gbuf, wbuf) || got[g].Remaining() != want[g].Remaining() {
+						t.Fatalf("n=%d count=%d bag %d step %d: TakeInto(%d) = %v, want %v", n, count, g, step, cap, gbuf, wbuf)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Dealing grows each queue's storage at most once, and a queue drained
+// since the last deal refills its array in place.
+func TestDealIntoAllocations(t *testing.T) {
+	const groups, runs = 64, 5
+	tasks := Exponential(20000, 12, 1)
+	fresh := make([][]*Bag, runs+1) // AllocsPerRun adds a warm-up call
+	for r := range fresh {
+		fresh[r] = make([]*Bag, groups)
+		for g := range fresh[r] {
+			fresh[r][g] = NewBag(nil)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		DealInto(fresh[next], tasks)
+		next++
+	})
+	if allocs > groups {
+		t.Errorf("dealing into %d fresh queues allocated %v times, want ≤ %d", groups, allocs, groups)
+	}
+	bags := fresh[0]
+	buf := make([]Task, 0, len(tasks))
+	allocs = testing.AllocsPerRun(runs, func() {
+		for _, b := range bags {
+			buf = b.TakeInto(buf[:0], 1<<40)
+		}
+		DealInto(bags, tasks)
+	})
+	if allocs != 0 {
+		t.Errorf("dealing into drained queues allocated %v times, want 0", allocs)
+	}
+	if n := bags[0].Remaining(); n != (len(tasks)+groups-1)/groups {
+		t.Errorf("queue 0 holds %d tasks after the refill", n)
 	}
 }
 
@@ -251,8 +349,8 @@ func TestBagStealAndAppend(t *testing.T) {
 		t.Errorf("steal from empty: %v", got)
 	}
 	b.Append(stolen)
-	if b.Remaining() != 2 || b.RemainingWork() != 4 {
-		t.Errorf("append: %d tasks, %d work", b.Remaining(), b.RemainingWork())
+	if b.Remaining() != 2 || remainingWork(b) != 4 {
+		t.Errorf("append: %d tasks, %d work", b.Remaining(), remainingWork(b))
 	}
 	// Returned (killed) tasks still jump the queue ahead of appended ones.
 	b.Return([]Task{{ID: 99, Duration: 1}})
@@ -283,8 +381,8 @@ func TestAppendIntoDrainedBagReusesStorage(t *testing.T) {
 	if cap(b.buf) != 8 {
 		t.Errorf("storage grew to %d slots for an 8-task queue", cap(b.buf))
 	}
-	if b.Remaining() != 8 || b.RemainingWork() != 16 {
-		t.Errorf("after refill: %d tasks, %d work", b.Remaining(), b.RemainingWork())
+	if b.Remaining() != 8 || remainingWork(b) != 16 {
+		t.Errorf("after refill: %d tasks, %d work", b.Remaining(), remainingWork(b))
 	}
 }
 
